@@ -1,8 +1,8 @@
 // fit_step micro-bench: compiled ExecutionPlan replay vs the eager tape
-// (BENCH_plan.json). One tuning step — image+text encode, similarity,
-// mutual-NN pseudo-positive selection, contrastive loss, backward — is
-// timed through core/step_plan.h's trace/replay path and through the
-// equivalent eager code, at 1 and 8 threads.
+// (BENCH_plan.json). One tuning step — image-bank gather, text encode,
+// similarity, mutual-NN pseudo-positive selection, contrastive loss,
+// backward — is timed through core/step_plan.h's trace/replay path and
+// through the equivalent eager code, at 1 and 8 threads.
 //
 // Records:
 //   fit_step_eager_ref   eager step ns/iter (anchor rows, not gated)
@@ -47,7 +47,7 @@ struct PlanBenchContext {
   core::CrossEmOptions options;
   std::vector<graph::VertexId> verts;  // one batch of vertices
   std::vector<int64_t> image_indices;  // one batch of images
-  Tensor images;
+  Tensor image_bank;  // EncodeImages of the test images, as Fit builds it
   std::vector<Tensor> params;
 
   PlanBenchContext() : dataset(data::BuildDataset(data::CubLikeConfig(0.6))) {
@@ -74,7 +74,8 @@ struct PlanBenchContext {
     for (int64_t c : dataset.test_classes) {
       all.push_back(dataset.entities[static_cast<size_t>(c)]);
     }
-    images = dataset.StackImages(dataset.TestImageIndices());
+    const Tensor images = dataset.StackImages(dataset.TestImageIndices());
+    image_bank = matcher->EncodeImages(images);
     const size_t nv = std::min<size_t>(
         all.size(), static_cast<size_t>(options.batch_vertices));
     verts.assign(all.begin(), all.begin() + static_cast<long>(nv));
@@ -100,17 +101,7 @@ void EmitPlanReport() {
   // The eager step: the exact code RunEpochAttempt's fallback branch runs.
   auto eager = [&] {
     zero_grads();
-    Tensor image_emb;
-    {
-      NoGradGuard guard;
-      std::vector<Tensor> rows;
-      rows.reserve(ctx.image_indices.size());
-      for (int64_t idx : ctx.image_indices) {
-        rows.push_back(ops::Reshape(ops::Slice(ctx.images, 0, idx, idx + 1),
-                                    {ctx.images.size(1), ctx.images.size(2)}));
-      }
-      image_emb = ctx.model->image().Forward(ops::Stack(rows));
-    }
+    Tensor image_emb = ops::IndexSelect(ctx.image_bank, ctx.image_indices);
     core::SoftPromptGenerator::PromptBatch batch =
         ctx.matcher->soft_prompt()->Generate(ctx.verts);
     Tensor text_emb =
@@ -140,7 +131,7 @@ void EmitPlanReport() {
 
   // The planned step: trace once, replay every later call.
   core::FitStepPlanner planner(ctx.model.get(), ctx.matcher->soft_prompt(),
-                               &ctx.options, ctx.params, ctx.images);
+                               &ctx.options, ctx.params, ctx.image_bank);
   auto planned = [&] {
     zero_grads();
     core::FitStepPlanner::StepOutcome o;

@@ -5,10 +5,6 @@
 #include <fstream>
 #include <numeric>
 
-#include <cstring>
-#include <map>
-#include <tuple>
-
 #include "core/losses.h"
 #include "core/step_plan.h"
 #include "eval/topk.h"
@@ -18,7 +14,6 @@
 #include "obs/trace.h"
 #include "util/crc32.h"
 #include "tensor/ops.h"
-#include "tensor/plan.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/memory_tracker.h"
@@ -88,94 +83,22 @@ Tensor CrossEm::EncodeVertices(
   return EncodeVerticesForTraining(vertices);
 }
 
-namespace {
-
-// One worker's compiled image-encode chunk (tensor/plan.h): the encoder
-// forward traced once per (encoder, chunk shape), replayed thereafter
-// through a write-in patch buffer. Thread-local, so concurrent workers
-// replay their own plans without sharing buffers.
-struct ImageEncodePlan {
-  plan::ExecutionPlan plan;
-  const void* first_param;  // identity of the encoder traced against
-  Tensor input;             // write-in [rows, P, patch_dim]
-  Tensor output;            // retained [rows, embed_dim]
-};
-using ImageEncodeKey = std::tuple<const void*, int64_t, int64_t, int64_t>;
-
-std::map<ImageEncodeKey, std::unique_ptr<ImageEncodePlan>>&
-ThreadImageEncodePlans() {
-  thread_local std::map<ImageEncodeKey, std::unique_ptr<ImageEncodePlan>>
-      plans;
-  return plans;
-}
-
-}  // namespace
-
 Tensor CrossEm::EncodeImages(const Tensor& images) const {
   NoGradGuard guard;
   CROSSEM_CHECK_EQ(images.dim(), 3);
   const int64_t n = images.size(0);
+  if (n == 0) return Tensor::Zeros({0, model_->config().embed_dim});
   const int64_t chunk = 64;
-  if (!plan::Enabled() || n == 0) {
-    std::vector<Tensor> chunks(static_cast<size_t>(NumChunks(0, n, chunk)));
-    // Chunks are independent inference forwards over the frozen image
-    // tower; spread them across the pool. Workers default to grad-on, so
-    // each chunk opens its own no-grad scope.
-    ParallelForChunks(0, n, chunk, [&](int64_t c, int64_t start, int64_t end) {
-      NoGradGuard chunk_guard;
-      chunks[static_cast<size_t>(c)] =
-          model_->image().Forward(ops::Slice(images, 0, start, end));
-    });
-    return ops::Concat(chunks, 0);
-  }
-
-  // Planned path: byte-equal to the eager chunk forward + Concat (the
-  // Slice in and the row copy out are both contiguous row copies), with
-  // the transformer forward replayed from each worker's traced plan.
-  const std::vector<Tensor> image_params = model_->image().Parameters();
-  const void* first_param = image_params.front().impl().get();
-  const int64_t row_elems = images.size(1) * images.size(2);
-  const int64_t embed = model_->config().embed_dim;
-  Tensor out = Tensor::Zeros({n, embed});
-  ParallelForChunks(0, n, chunk, [&](int64_t, int64_t start, int64_t end) {
+  std::vector<Tensor> chunks(static_cast<size_t>(NumChunks(0, n, chunk)));
+  // Chunks are independent inference forwards over the frozen image
+  // tower; spread them across the pool. Workers default to grad-on, so
+  // each chunk opens its own no-grad scope.
+  ParallelForChunks(0, n, chunk, [&](int64_t c, int64_t start, int64_t end) {
     NoGradGuard chunk_guard;
-    const int64_t rows = end - start;
-    auto& cache = ThreadImageEncodePlans();
-    const ImageEncodeKey key{model_, rows, images.size(1), images.size(2)};
-    auto it = cache.find(key);
-    ImageEncodePlan* ep = it != cache.end() ? it->second.get() : nullptr;
-    std::string reason;
-    if (ep != nullptr &&
-        (ep->first_param != first_param || !ep->plan.Validate(&reason))) {
-      cache.erase(it);  // encoder replaced or plan stale: re-trace
-      ep = nullptr;
-    }
-    if (ep == nullptr) {
-      if (cache.size() >= 8) cache.clear();  // bound retained buffers
-      auto fresh = std::make_unique<ImageEncodePlan>();
-      fresh->first_param = first_param;
-      fresh->input = Tensor::Zeros({rows, images.size(1), images.size(2)});
-      std::memcpy(fresh->input.data(), images.data() + start * row_elems,
-                  static_cast<size_t>(rows * row_elems) * sizeof(float));
-      {
-        plan::CaptureScope scope(&fresh->plan);
-        fresh->output = model_->image().Forward(fresh->input);
-      }
-      fresh->plan.BindParams(image_params);
-      std::memcpy(out.data() + start * embed, fresh->output.data(),
-                  static_cast<size_t>(rows * embed) * sizeof(float));
-      // An incomplete capture still computed the chunk (tracing IS an
-      // instrumented eager forward); it just is not worth caching.
-      if (fresh->plan.complete()) cache.emplace(key, std::move(fresh));
-    } else {
-      std::memcpy(ep->input.data(), images.data() + start * row_elems,
-                  static_cast<size_t>(rows * row_elems) * sizeof(float));
-      ep->plan.Replay();
-      std::memcpy(out.data() + start * embed, ep->output.data(),
-                  static_cast<size_t>(rows * embed) * sizeof(float));
-    }
+    chunks[static_cast<size_t>(c)] =
+        model_->image().Forward(ops::Slice(images, 0, start, end));
   });
-  return out;
+  return ops::Concat(chunks, 0);
 }
 
 Tensor CrossEm::ScoreMatrix(const std::vector<graph::VertexId>& vertices,
@@ -269,9 +192,6 @@ std::vector<Tensor> CrossEm::TrainableParameters() const {
   if (soft_gen_) {
     for (Tensor p : soft_gen_->Parameters()) params.push_back(p);
   }
-  if (!options_.freeze_image_encoder) {
-    for (Tensor p : model_->image().Parameters()) params.push_back(p);
-  }
   return params;
 }
 
@@ -288,11 +208,6 @@ std::vector<std::pair<std::string, Tensor>> CrossEm::NamedTrainableParameters()
   if (soft_gen_) {
     for (auto& [n, p] : soft_gen_->NamedParameters()) {
       named.emplace_back("soft_prompt." + n, p);
-    }
-  }
-  if (!options_.freeze_image_encoder) {
-    for (auto& [n, p] : model_->image().NamedParameters()) {
-      named.emplace_back("model.image." + n, p);
     }
   }
   return named;
@@ -337,9 +252,7 @@ Result<FitStats> CrossEm::Fit(const std::vector<graph::VertexId>& vertices,
   // Freeze per paper Sec. II-C: image tower and the contrastive head
   // (temperature) stay fixed; prompt-side parameters train.
   model_->SetTraining(true);
-  if (options_.freeze_image_encoder) {
-    model_->image().SetRequiresGrad(false);
-  }
+  model_->image().SetRequiresGrad(false);
   if (!options_.tune_text_encoder) {
     model_->text().SetRequiresGrad(false);
   }
@@ -352,14 +265,19 @@ Result<FitStats> CrossEm::Fit(const std::vector<graph::VertexId>& vertices,
     CrossEm* self;
     ~ModeRestore() {
       self->model_->SetTraining(false);
-      if (self->options_.freeze_image_encoder) {
-        self->model_->image().SetRequiresGrad(true);
-      }
+      self->model_->image().SetRequiresGrad(true);
       if (!self->options_.tune_text_encoder) {
         self->model_->text().SetRequiresGrad(true);
       }
     }
   } mode_restore{this};
+
+  // The frozen image tower maps each candidate image to the same
+  // embedding on every step, so encode them once. Row i of the bank is
+  // bitwise the tower's output for image i in any batch: every op in the
+  // tower is row-independent, and GEMM accumulates each row in the same
+  // order whatever its tile or thread.
+  const Tensor image_bank = EncodeImages(images);
 
   // Compiled tuning steps (core/step_plan.h): trace the step once per
   // batch shape, replay thereafter. Built AFTER the freeze above so the
@@ -368,10 +286,9 @@ Result<FitStats> CrossEm::Fit(const std::vector<graph::VertexId>& vertices,
   std::unique_ptr<FitStepPlanner> planner;
   if (soft_gen_ && FitStepPlanner::Eligible(options_)) {
     planner = std::make_unique<FitStepPlanner>(model_, soft_gen_.get(),
-                                               &options_, params, images);
+                                               &options_, params, image_bank);
   }
 
-  const int64_t num_images = images.size(0);
   FitStats stats;
   MemoryTracker::Instance().ResetPeak();
   Timer total_timer;
@@ -446,9 +363,9 @@ Result<FitStats> CrossEm::Fit(const std::vector<graph::VertexId>& vertices,
     int64_t retries = 0;
     EpochStats es;
     for (;;) {
-      CROSSEM_RETURN_NOT_OK(RunEpochAttempt(vertices, images, proximity,
+      CROSSEM_RETURN_NOT_OK(RunEpochAttempt(vertices, image_bank, proximity,
                                             &generator, &optimizer, params,
-                                            num_images, planner.get(), &es));
+                                            planner.get(), &es));
       const int64_t attempted = es.num_batches + es.bad_batches;
       const bool diverged =
           attempted > 0 &&
@@ -533,13 +450,14 @@ Result<FitStats> CrossEm::Fit(const std::vector<graph::VertexId>& vertices,
 }
 
 Status CrossEm::RunEpochAttempt(const std::vector<graph::VertexId>& vertices,
-                                const Tensor& images, const Tensor& proximity,
+                                const Tensor& image_bank,
+                                const Tensor& proximity,
                                 MiniBatchGenerator* generator,
                                 nn::Optimizer* optimizer,
                                 const std::vector<Tensor>& params,
-                                int64_t num_images, FitStepPlanner* planner,
-                                EpochStats* es) {
+                                FitStepPlanner* planner, EpochStats* es) {
   *es = EpochStats{};
+  const int64_t num_images = image_bank.size(0);
 
   // ---- Mini-batch construction (Alg. 1 line 3 / Alg. 2 + Alg. 3) ----
   Timer phase_timer;
@@ -634,24 +552,13 @@ Status CrossEm::RunEpochAttempt(const std::vector<graph::VertexId>& vertices,
       }
     }
     if (!planned) {
-      // Image side: frozen tower, no tape (saves the activation memory
-      // the paper's frozen-encoder design saves on GPU).
+      // Image side: the batch's rows of the frozen tower's bank (no
+      // tape; IndexSelect bounds-checks every index).
       phase_timer.Restart();
       Tensor image_emb;
       {
         CROSSEM_TRACE_SPAN("encode");
-        {
-          NoGradGuard guard;
-          std::vector<Tensor> rows;
-          rows.reserve(mb.image_indices.size());
-          for (int64_t idx : mb.image_indices) {
-            CROSSEM_CHECK_GE(idx, 0);
-            CROSSEM_CHECK_LT(idx, num_images);
-            rows.push_back(ops::Reshape(ops::Slice(images, 0, idx, idx + 1),
-                                        {images.size(1), images.size(2)}));
-          }
-          image_emb = model_->image().Forward(ops::Stack(rows));
-        }
+        image_emb = ops::IndexSelect(image_bank, mb.image_indices);
       }
       Tensor text_emb;
       {

@@ -57,8 +57,6 @@ struct CrossEmOptions {
   int64_t batch_images = 16;    // N2 of the contrastive batch
   float learning_rate = 2e-3f;
   float grad_clip = 5.0f;
-  /// Paper Sec. II-C: the image encoder and contrastive head are frozen.
-  bool freeze_image_encoder = true;
   /// Prompt tuning proper updates only the prompt parameters (the soft
   /// prompt's vertex features, aggregator and injector); the pre-trained
   /// text tower stays frozen. Enabling this additionally fine-tunes the
@@ -162,6 +160,10 @@ class CrossEm {
   /// optimization toggles are on) over the candidate pairs
   /// `vertices` x `images` ([N, P, patch_dim]).
   ///
+  /// The image tower and contrastive head stay frozen (paper Sec. II-C),
+  /// so the candidate images are encoded once per Fit and every tuning
+  /// step gathers its batch rows from that [N, embed_dim] bank.
+  ///
   /// Baseline and hard prompt modes are discrete — there is nothing to
   /// tune unless tune_text_encoder is set (paper Tables III-IV report no
   /// training cost for CrossEM w/ f_pro^h) — so Fit returns empty stats
@@ -173,7 +175,8 @@ class CrossEm {
   /// (inference; no gradients).
   Tensor EncodeVertices(const std::vector<graph::VertexId>& vertices) const;
 
-  /// Joint-space embeddings of images [N, embed_dim] (chunked; frozen).
+  /// Joint-space embeddings of images [N, P, patch_dim] -> [N, embed_dim]
+  /// (chunked across the thread pool; no gradients). N may be 0.
   Tensor EncodeImages(const Tensor& images) const;
 
   /// Cosine score matrix [num_vertices, num_images].
@@ -219,20 +222,21 @@ class CrossEm {
   std::vector<Tensor> TrainableParameters() const;
 
   /// Same tensors, in the same order, with stable checkpoint names
-  /// ("model.text.*", "soft_prompt.*", "model.image.*").
+  /// ("model.text.*", "soft_prompt.*").
   std::vector<std::pair<std::string, Tensor>> NamedTrainableParameters() const;
 
   /// One full pass over the (re)generated mini-batches, with the
   /// non-finite batch guard. Fills loss/num_batches/num_pairs/bad_batches
-  /// of `es`; the caller decides whether the attempt diverged. `planner`
+  /// of `es`; the caller decides whether the attempt diverged.
+  /// `image_bank` is EncodeImages() of the candidate images. `planner`
   /// (may be null) runs eligible batches as compiled trace/replay steps
   /// (core/step_plan.h); any batch it declines falls back to the eager
   /// path below it.
   Status RunEpochAttempt(const std::vector<graph::VertexId>& vertices,
-                         const Tensor& images, const Tensor& proximity,
+                         const Tensor& image_bank, const Tensor& proximity,
                          MiniBatchGenerator* generator,
                          nn::Optimizer* optimizer,
-                         const std::vector<Tensor>& params, int64_t num_images,
+                         const std::vector<Tensor>& params,
                          FitStepPlanner* planner, EpochStats* es);
 
   clip::ClipModel* model_;

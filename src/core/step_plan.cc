@@ -27,17 +27,17 @@ FitStepPlanner::FitStepPlanner(clip::ClipModel* model,
                                SoftPromptGenerator* soft_gen,
                                const CrossEmOptions* options,
                                std::vector<Tensor> params,
-                               const Tensor& images)
+                               const Tensor& image_bank)
     : model_(model),
       soft_gen_(soft_gen),
       options_(options),
       params_(std::move(params)),
-      images_(images) {
+      image_bank_(image_bank) {
   CROSSEM_CHECK(model != nullptr);
   CROSSEM_CHECK(soft_gen != nullptr);
   CROSSEM_CHECK(options != nullptr);
-  CROSSEM_CHECK(images.defined());
-  CROSSEM_CHECK_EQ(images.dim(), 3);
+  CROSSEM_CHECK(image_bank.defined());
+  CROSSEM_CHECK_EQ(image_bank.dim(), 2);
   // h(l_v) for every vertex, gathered by slot inside the traced graph.
   // Valid for the whole Fit because eligibility requires the token table
   // frozen (!tune_text_encoder).
@@ -79,16 +79,16 @@ void FitStepPlanner::RefreshInputs(
     m[i * total + len] = 1.0f;  // injected prompt slot
   }
 
-  // Batch image patches, gathered on the host into the write-in buffer.
-  // Byte-equal to the eager Stack-of-Slices (both are contiguous row
-  // copies out of `images_`).
-  const int64_t row_elems = images_.size(1) * images_.size(2);
-  float* dst = ctx->images_in.data();
-  const float* src = images_.data();
+  // Batch image embeddings, gathered on the host into the write-in
+  // buffer. Byte-equal to the eager step's IndexSelect (both are
+  // contiguous row copies out of `image_bank_`).
+  const int64_t row_elems = image_bank_.size(1);
+  float* dst = ctx->image_emb.data();
+  const float* src = image_bank_.data();
   for (size_t i = 0; i < image_indices.size(); ++i) {
     const int64_t idx = image_indices[i];
     CROSSEM_CHECK_GE(idx, 0);
-    CROSSEM_CHECK_LT(idx, images_.size(0));
+    CROSSEM_CHECK_LT(idx, image_bank_.size(0));
     std::memcpy(dst + static_cast<int64_t>(i) * row_elems,
                 src + idx * row_elems,
                 static_cast<size_t>(row_elems) * sizeof(float));
@@ -139,7 +139,7 @@ bool FitStepPlanner::RunForward(const std::vector<graph::VertexId>& verts,
   if (need_trace) {
     ctx.vertices = plan::MakeIndexSlot();
     ctx.flat_tokens = plan::MakeIndexSlot();
-    ctx.images_in = Tensor::Zeros({ni, images_.size(1), images_.size(2)});
+    ctx.image_emb = Tensor::Zeros({ni, image_bank_.size(1)});
     ctx.mask = Tensor::Zeros({nv, len + 1});
   }
   RefreshInputs(&ctx, verts, token_batch, image_indices);
@@ -148,11 +148,6 @@ bool FitStepPlanner::RunForward(const std::vector<graph::VertexId>& verts,
     CROSSEM_TRACE_SPAN("plan_trace");
     {
       plan::CaptureScope scope(&ctx.encode);
-      {
-        // Frozen image tower, no tape — exactly the eager step's scope.
-        NoGradGuard guard;
-        ctx.image_emb = model_->image().Forward(ctx.images_in);
-      }
       SoftPromptGenerator::PromptBatch batch = soft_gen_->GenerateSlot(
           ctx.vertices, ctx.flat_tokens, len, label_summary_, ctx.mask);
       ctx.text_emb = model_->text().ForwardFromEmbeddings(batch.embeddings,

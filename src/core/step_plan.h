@@ -2,16 +2,17 @@
 // tuning loop).
 //
 // A tuning step has a fixed dataflow once its shapes are known: gather the
-// batch's image patches, encode both towers, score, pick mutual-nearest
+// batch's rows of the Fit's image bank (the frozen image tower's output,
+// encoded once per Fit), encode the text side, score, pick mutual-nearest
 // pseudo-positives, and take the contrastive(+orthogonal) loss over the
 // confident pairs. FitStepPlanner traces that dataflow ONCE per shape and
 // replays the recorded closures on every later step:
 //
-//   - The "encode" segment — image tower (no grad), soft-prompt text
-//     encode, similarity matrix — is keyed on (batch_vertices,
-//     batch_images, padded_token_len). Per-step inputs flow through index
-//     slots (vertex ids, token ids) and write-in buffers (image patches,
-//     attention mask) that the host refreshes before each replay.
+//   - The "encode" segment — soft-prompt text encode and similarity
+//     matrix — is keyed on (batch_vertices, batch_images,
+//     padded_token_len). Per-step inputs flow through index slots (vertex
+//     ids, token ids) and write-in buffers (image embeddings, attention
+//     mask) that the host refreshes before each replay.
 //   - Pseudo-positive selection is host code over the retained similarity
 //     buffers (exactly the eager argmax/mutual-NN scan).
 //   - The loss segment depends on the number of confident pairs, so each
@@ -30,7 +31,7 @@
 // (!tune_text_encoder) — the planner's precomputed label-summary table
 // requires a frozen token-embedding table — and plan::Enabled()
 // (CROSSEM_EXEC_PLAN kill switch). A planner instance is built per Fit
-// call and must not outlive its `images` tensor or model.
+// call and must not outlive its `image_bank` tensor or model.
 #ifndef CROSSEM_CORE_STEP_PLAN_H_
 #define CROSSEM_CORE_STEP_PLAN_H_
 
@@ -54,10 +55,12 @@ struct CrossEmOptions;
 class FitStepPlanner {
  public:
   /// All pointers/tensors must outlive the planner (it is a Fit-scoped
-  /// object). `params` is the trainable set the plans validate against.
+  /// object). `params` is the trainable set the plans validate against;
+  /// `image_bank` is CrossEm::EncodeImages() of the Fit's candidate
+  /// images, [N, embed_dim].
   FitStepPlanner(clip::ClipModel* model, SoftPromptGenerator* soft_gen,
                  const CrossEmOptions* options, std::vector<Tensor> params,
-                 const Tensor& images);
+                 const Tensor& image_bank);
   FitStepPlanner(const FitStepPlanner&) = delete;
   FitStepPlanner& operator=(const FitStepPlanner&) = delete;
 
@@ -94,9 +97,9 @@ class FitStepPlanner {
     plan::ExecutionPlan encode;
     plan::IndexSlot vertices;     // vertex ids, re-read per replay
     plan::IndexSlot flat_tokens;  // row-major padded token ids
-    Tensor images_in;             // write-in [Ni, P, patch_dim]
+    Tensor image_emb;             // write-in [Ni, embed_dim] bank rows
     Tensor mask;                  // write-in [Nv, len + 1]
-    Tensor text_emb, image_emb, sim, sim_t;  // retained outputs
+    Tensor text_emb, sim, sim_t;  // retained outputs
     std::map<int64_t, LossVariant> variants;  // keyed by pair count
     bool bad = false;  // capture was incomplete: always eager
   };
@@ -111,7 +114,7 @@ class FitStepPlanner {
   SoftPromptGenerator* soft_gen_;
   const CrossEmOptions* options_;
   std::vector<Tensor> params_;
-  Tensor images_;         // the Fit candidate images [N, P, patch_dim]
+  Tensor image_bank_;     // the Fit candidate images, encoded [N, embed_dim]
   Tensor label_summary_;  // precomputed h(l_v) table [N, model_dim]
   std::map<Key, StepContext> contexts_;
   LossVariant* active_ = nullptr;

@@ -169,7 +169,8 @@ float ClipGradNorm(const std::vector<Tensor>& params, float max_norm) {
   for (const Tensor& p : params) {
     if (!Updatable(p)) continue;
     const float* g = p.grad().data();
-    for (int64_t j = 0; j < p.numel(); ++j) {
+    const int64_t n = p.numel();
+    for (int64_t j = 0; j < n; ++j) {
       total += static_cast<double>(g[j]) * g[j];
     }
   }
@@ -179,7 +180,8 @@ float ClipGradNorm(const std::vector<Tensor>& params, float max_norm) {
     for (const Tensor& p : params) {
       if (!Updatable(p)) continue;
       float* g = p.grad().data();
-      for (int64_t j = 0; j < p.numel(); ++j) g[j] *= scale;
+      const int64_t n = p.numel();
+      for (int64_t j = 0; j < n; ++j) g[j] *= scale;
     }
   }
   return norm;

@@ -1,7 +1,9 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -75,6 +77,17 @@ bool NeedsGrad(const std::shared_ptr<TensorImpl>& impl) {
   return impl->requires_grad || impl->grad_fn != nullptr;
 }
 
+/// Whether an op over `inputs` records an autograd node: grad mode is on
+/// and some input needs a gradient. Ops that save state for their
+/// backward consult this before MakeResult, which applies the same test.
+bool RecordsGrad(const std::vector<Tensor>& inputs) {
+  if (!GradModeEnabled()) return false;
+  for (const Tensor& t : inputs) {
+    if (NeedsGrad(t.impl())) return true;
+  }
+  return false;
+}
+
 /// Creates the output tensor for an op and records the autograd node when
 /// tracing is active. `backward` may be empty for non-differentiable ops.
 Tensor MakeResult(Shape shape, std::vector<Tensor> inputs, const char* name,
@@ -85,11 +98,7 @@ Tensor MakeResult(Shape shape, std::vector<Tensor> inputs, const char* name,
   auto out = std::make_shared<TensorImpl>();
   out->shape = std::move(shape);
   out->storage = std::make_shared<Storage>(out->numel());
-  bool any_grad = false;
-  for (const Tensor& t : inputs) {
-    if (NeedsGrad(t.impl())) any_grad = true;
-  }
-  if (any_grad && GradModeEnabled() && backward) {
+  if (backward && RecordsGrad(inputs)) {
     out->requires_grad = true;
     auto node = std::make_shared<AutogradNode>();
     node->op_name = name;
@@ -612,18 +621,42 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
 constexpr float kGeluA = 0.044715f;
 
-inline float GeluFwd(float x) {
-  float inner = kGeluC * (x + kGeluA * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
+// The forward and the derivative associate x^3 differently, so their tanh
+// arguments can round apart; each keeps its own.
+inline float GeluFwdArg(float x) { return kGeluC * (x + kGeluA * x * x * x); }
+
+inline float GeluBwdArg(float x) {
+  float x3 = x * x * x;
+  return kGeluC * (x + kGeluA * x3);
 }
 
-inline float GeluBwd(float x) {
-  float x3 = x * x * x;
-  float inner = kGeluC * (x + kGeluA * x3);
-  float t = std::tanh(inner);
+/// d GELU / dx given t = tanh(GeluBwdArg(x)).
+inline float GeluBwdFromTanh(float x, float t) {
   float sech2 = 1.0f - t * t;
   return 0.5f * (1.0f + t) +
          0.5f * x * sech2 * kGeluC * (1.0f + 3.0f * kGeluA * x * x);
+}
+
+inline float GeluFwd(float x) {
+  return 0.5f * x * (1.0f + std::tanh(GeluFwdArg(x)));
+}
+
+inline float GeluBwd(float x) {
+  return GeluBwdFromTanh(x, std::tanh(GeluBwdArg(x)));
+}
+
+/// GeluFwd(x), storing GeluBwd(x) bitwise in *dydx. The forward's tanh
+/// serves the derivative wherever the two arguments round to the same
+/// float (~98% of unit-normal inputs); elsewhere the derivative takes its
+/// own tanh, as GeluBwd would.
+inline float GeluFwdSaveBwd(float x, float* dydx) {
+  const float fwd_arg = GeluFwdArg(x);
+  const float bwd_arg = GeluBwdArg(x);
+  const float t = std::tanh(fwd_arg);
+  const bool same = std::bit_cast<uint32_t>(fwd_arg) ==
+                    std::bit_cast<uint32_t>(bwd_arg);
+  *dydx = GeluBwdFromTanh(x, same ? t : std::tanh(bwd_arg));
+  return 0.5f * x * (1.0f + t);
 }
 
 FusedKernels ResolveFusedKernelsDefault() {
@@ -1003,7 +1036,8 @@ Tensor Reshape(const Tensor& a, Shape shape) {
     if (!NeedsGrad(a_impl)) return;
     const float* g = out.grad->data();
     float* ga = a_impl->MutableGrad().data();
-    for (int64_t i = 0; i < out.numel(); ++i) ga[i] += g[i];
+    const int64_t n = out.numel();
+    for (int64_t i = 0; i < n; ++i) ga[i] += g[i];
   };
   Tensor out = MakeResult(std::move(shape), {a}, "reshape", backward);
   auto compute = [src = static_cast<const float*>(a.data()), dst = out.data(),
@@ -1544,16 +1578,31 @@ Tensor BiasActivation(const Tensor& x, const Tensor& bias, BiasAct act) {
   const int64_t cols = x.size(-1);
   CROSSEM_CHECK_EQ(bias.numel(), cols);
   const int64_t n = x.numel();
+  const int64_t rows = cols > 0 ? n / cols : 0;
+
+  // GELU's derivative costs a tanh per element, so a recording forward
+  // saves it (pool-backed, owned by the backward closure) rather than
+  // have the backward recompute it.
+  Tensor dact;
+  if (act == BiasAct::kGelu && RecordsGrad({x, bias})) {
+    dact = Tensor::Zeros(x.shape());
+  }
 
   auto x_impl = x.impl();
   auto b_impl = bias.impl();
-  auto backward = [x_impl, b_impl, n, cols, act](const TensorImpl& out) {
+  auto backward = [x_impl, b_impl, dact, n, rows, cols,
+                   act](const TensorImpl& out) {
     const float* g = out.grad->data();
     const float* xv = x_impl->storage->data();
     const float* bv = b_impl->storage->data();
+    const float* d = dact.defined() ? dact.data() : nullptr;
     if (NeedsGrad(x_impl)) {
       float* gx = x_impl->MutableGrad().data();
       ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
+        if (d != nullptr) {
+          for (int64_t i = lo; i < hi; ++i) gx[i] += g[i] * d[i];
+          return;
+        }
         int64_t c = lo % cols;
         for (int64_t i = lo; i < hi; ++i) {
           const float z = xv[i] + bv[c];  // recomputed pre-activation
@@ -1563,14 +1612,20 @@ Tensor BiasActivation(const Tensor& x, const Tensor& bias, BiasAct act) {
       });
     }
     if (NeedsGrad(b_impl)) {
-      // Serial ascending-i scatter, as the composed Add's modulo-broadcast
-      // backward streams into the shared bias slots.
+      // Serial and row by row: each bias slot accumulates in ascending
+      // row order, as the composed Add's modulo-broadcast backward does.
       float* gb = b_impl->MutableGrad().data();
-      int64_t c = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        const float z = xv[i] + bv[c];
-        gb[c] += g[i] * BiasActBwd(act, z);
-        if (++c == cols) c = 0;
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* gr = g + r * cols;
+        if (d != nullptr) {
+          const float* dr = d + r * cols;
+          for (int64_t c = 0; c < cols; ++c) gb[c] += gr[c] * dr[c];
+        } else {
+          const float* xr = xv + r * cols;
+          for (int64_t c = 0; c < cols; ++c) {
+            gb[c] += gr[c] * BiasActBwd(act, xr[c] + bv[c]);
+          }
+        }
       }
     }
   };
@@ -1578,18 +1633,18 @@ Tensor BiasActivation(const Tensor& x, const Tensor& bias, BiasAct act) {
   Tensor out = MakeResult(x.shape(), {x, bias}, "bias_act", backward);
   auto compute = [xv = static_cast<const float*>(x.data()),
                   bv = static_cast<const float*>(bias.data()), y = out.data(),
-                  n, cols, act]() {
+                  d = dact.defined() ? dact.data() : nullptr, n, cols, act]() {
     ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
       int64_t c = lo % cols;
       for (int64_t i = lo; i < hi; ++i) {
         const float z = xv[i] + bv[c];
-        y[i] = BiasActFwd(act, z);
+        y[i] = d != nullptr ? GeluFwdSaveBwd(z, d + i) : BiasActFwd(act, z);
         if (++c == cols) c = 0;
       }
     });
   };
   compute();
-  CROSSEM_PLAN_CAPTURE(compute, x, bias, out);
+  CROSSEM_PLAN_CAPTURE(compute, x, bias, out, dact);
   return out;
 }
 

@@ -39,9 +39,8 @@
 // CROSSEM_FUSED_KERNELS.
 //
 // Threading. Capture state is thread-local: concurrent threads may trace
-// and replay their own plans (the serving layer's per-worker image-encode
-// plans do exactly this), but a single ExecutionPlan instance must not be
-// replayed from two threads at once — its buffers are the shared state.
+// and replay their own plans, but a single ExecutionPlan instance must not
+// be replayed from two threads at once — its buffers are the shared state.
 #ifndef CROSSEM_TENSOR_PLAN_H_
 #define CROSSEM_TENSOR_PLAN_H_
 

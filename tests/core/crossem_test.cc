@@ -2,10 +2,15 @@
 // telemetry, matching output, and the CrossEM+ efficiency property.
 #include "core/crossem.h"
 
+#include <set>
+#include <vector>
+
 #include "clip/pretrain.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
 #include "gtest/gtest.h"
+#include "tensor/ops.h"
+#include "util/parallel.h"
 
 namespace crossem {
 namespace core {
@@ -214,6 +219,38 @@ TEST_F(CrossEmFixture, FindMatchesReturnsTopImagePerVertex) {
     }
     EXPECT_NEAR(pairs[i].score, row_max, 1e-5f);
   }
+}
+
+TEST_F(CrossEmFixture, ImageBankRowsMatchBatchForwardBitwise) {
+  // Fit encodes its candidate images once and gathers each step's rows
+  // from that bank. A gathered batch must be bitwise what the frozen tower
+  // gives the same batch directly — with repeated images, and with
+  // lengths off the GEMM's 4-row tile edge — at any thread count.
+  CrossEm m(model_, &ds_->graph, tokenizer_, CrossEmOptions{});
+  const int64_t n = images_->size(0);
+  Rng rng(5);
+  for (int threads : {1, 8}) {
+    SetNumThreads(threads);
+    const Tensor bank = m.EncodeImages(*images_);
+    for (int64_t len : {3, 7, 13, 30}) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, " << len << " images");
+      std::vector<int64_t> idx;
+      for (int64_t i = 0; i + 1 < len; ++i) {
+        idx.push_back(rng.UniformInt(0, n - 1));
+      }
+      idx.push_back(idx.front());
+      std::vector<Tensor> rows;
+      for (int64_t i : idx) {
+        rows.push_back(ops::Reshape(ops::Slice(*images_, 0, i, i + 1),
+                                    {images_->size(1), images_->size(2)}));
+      }
+      NoGradGuard guard;
+      const Tensor direct = model_->image().Forward(ops::Stack(rows));
+      EXPECT_EQ(ops::IndexSelect(bank, idx).ToVector(), direct.ToVector());
+    }
+  }
+  SetNumThreads(0);
 }
 
 TEST_F(CrossEmFixture, FindMutualMatchesIsSubsetOfFindMatches) {

@@ -266,6 +266,17 @@ TEST_F(FaultToleranceFixture, DegenerateMatchingInputsYieldNoMatches) {
   EXPECT_TRUE(m.FindMutualMatches(vertices_, zero_rows).empty());
 }
 
+TEST_F(FaultToleranceFixture, ZeroImagesEncodeToAnEmptyBank) {
+  CrossEm m(model_, &ds_->graph, tokenizer_, CrossEmOptions{});
+  const Tensor zero_rows =
+      Tensor::Zeros({0, images_->size(1), images_->size(2)});
+  const Tensor bank = m.EncodeImages(zero_rows);
+  EXPECT_EQ(bank.shape(), (Shape{0, model_->config().embed_dim}));
+  const Tensor scores = m.ScoreMatrix(vertices_, zero_rows);
+  EXPECT_EQ(scores.shape(),
+            (Shape{static_cast<int64_t>(vertices_.size()), 0}));
+}
+
 TEST_F(FaultToleranceFixture, CheckpointSaveFaultFailsFitCleanly) {
   const std::string ckpt = TempPath("fit_ckpt_fault.ckpt");
   std::remove(ckpt.c_str());
