@@ -234,6 +234,28 @@ void EmitFusedReport() {
     report.Measure("bias_gelu", "512x256", 1, fwd, ref_ns);
   }
   {
+    // The path Fit and pre-training take: a recording bias+GELU forward
+    // (which saves dGELU/dz) plus its backward into the pre-activation and
+    // the bias, fused vs the composed Add + Gelu tape.
+    Tensor x = Tensor::Randn({512, 256}, &rng);
+    Tensor b = Tensor::Randn({256}, &rng);
+    x.set_requires_grad(true);
+    b.set_requires_grad(true);
+    auto train = [&](bool fused) {
+      x.ZeroGrad();
+      b.ZeroGrad();
+      Tensor y = fused ? ops::BiasActivation(x, b, ops::BiasAct::kGelu)
+                       : ops::Gelu(ops::Add(x, b));
+      ops::Sum(y).Backward();
+      benchmark::DoNotOptimize(x.grad().data());
+      benchmark::DoNotOptimize(b.grad().data());
+    };
+    const double ref_ns = report.Measure("bias_gelu_train_ref", "512x256", 1,
+                                         [&] { train(false); });
+    report.Measure("bias_gelu_train", "512x256", 1, [&] { train(true); },
+                   ref_ns);
+  }
+  {
     // Steady-state pool behaviour of a realistic Fit step: a transformer
     // encoder forward+backward re-allocates the same activation and grad
     // shapes every step, so after warmup every Acquire should hit the

@@ -14,6 +14,7 @@
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/target_clones.h"
 
 namespace crossem {
 namespace serve {
@@ -23,23 +24,14 @@ namespace {
 
 QuantKernel g_quant_kernel = QuantKernel::kAuto;
 
-// Function multi-versioning, exactly as the GEMM inner kernel
-// (tensor/ops.cc): baseline x86-64 binary, AVX2+FMA clone picked by the
-// loader's ifunc resolver. Sanitizer builds drop the clones — their
-// runtimes crash on multi-versioned symbols.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define CROSSEM_QUANT_CLONES \
-  __attribute__((target_clones("arch=x86-64-v3", "default")))
-#else
-#define CROSSEM_QUANT_CLONES
-#endif
-
 /// Accumulator lanes of the blocked kernels: eight running sums updated
 /// in a fixed round-robin order (an 8-wide AVX2 float vector), folded
-/// pairwise at the end. The order is fixed, so a given kernel's result
-/// is fully deterministic; it differs from the scalar reference only by
-/// float reassociation (bounded by the op-test NMSE tolerances).
+/// pairwise at the end. The blocked kernels are multi-versioned
+/// (util/target_clones.h) and their AVX2 clone contracts the lane updates
+/// into FMAs, so a result is deterministic on a given host but depends on
+/// the clone its resolver picks. It differs from the scalar reference by
+/// float reassociation and that contraction, both bounded by the op-test
+/// NMSE tolerances.
 constexpr int64_t kLanes = 8;
 
 inline float FoldLanes(const float* lane) {
@@ -126,7 +118,7 @@ float DotF16Reference(const uint16_t* row, const float* query, int64_t dim) {
   return acc;
 }
 
-CROSSEM_QUANT_CLONES
+CROSSEM_TARGET_CLONES
 float DotF16Blocked(const uint16_t* row, const float* query, int64_t dim) {
   const float* lut = F16Lut();
   float lane[kLanes] = {0};
@@ -156,7 +148,7 @@ float DotInt8Reference(const int8_t* row, const float* scales,
   return acc;
 }
 
-CROSSEM_QUANT_CLONES
+CROSSEM_TARGET_CLONES
 float DotInt8Blocked(const int8_t* row, const float* scales,
                      const float* query, int64_t dim) {
   const int64_t full = dim / kBlockSize;

@@ -1,7 +1,6 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -12,8 +11,10 @@
 
 #include "obs/trace.h"
 #include "tensor/plan.h"
+#include "tensor/vmath.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/target_clones.h"
 
 namespace crossem {
 namespace ops {
@@ -382,10 +383,16 @@ Tensor BroadcastBinaryOp(const Tensor& a, const Tensor& b, const char* name,
   return out;
 }
 
-/// Shared implementation for elementwise unary ops.
-/// `dydx(x, y)` returns the local derivative given input and output values.
-template <typename FwdFn, typename DyDxFn>
-Tensor UnaryOp(const Tensor& a, const char* name, FwdFn fwd, DyDxFn dydx) {
+/// Elements per stack block in which a unary op's backward evaluates its
+/// local derivatives.
+constexpr int64_t kDyDxBlock = 256;
+
+/// Shared implementation for elementwise unary ops, over block kernels:
+/// `fwd(x, y, n)` writes y[0, n) from x[0, n), and `dydx(x, y, d, n)` writes
+/// the local derivatives d[0, n) given input and output values.
+template <typename BlockFwdFn, typename BlockDyDxFn>
+Tensor UnaryBlockOp(const Tensor& a, const char* name, BlockFwdFn fwd,
+                    BlockDyDxFn dydx) {
   auto a_impl = a.impl();
   // Keep a copy of outputs for derivative formulas expressed in terms of y.
   auto backward = [a_impl, dydx](const TensorImpl& out) {
@@ -396,19 +403,37 @@ Tensor UnaryOp(const Tensor& a, const char* name, FwdFn fwd, DyDxFn dydx) {
     float* ga = a_impl->MutableGrad().data();
     const int64_t n = out.numel();
     ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) ga[i] += g[i] * dydx(x[i], y[i]);
+      float d[kDyDxBlock];
+      for (int64_t i = lo; i < hi; i += kDyDxBlock) {
+        const int64_t m = std::min(kDyDxBlock, hi - i);
+        dydx(x + i, y + i, d, m);
+        for (int64_t j = 0; j < m; ++j) ga[i + j] += g[i + j] * d[j];
+      }
     });
   };
   Tensor out = MakeResult(a.shape(), {a}, name, backward);
   auto compute = [x = static_cast<const float*>(a.data()), y = out.data(),
                   n = a.numel(), fwd]() {
-    ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) y[i] = fwd(x[i]);
-    });
+    ParallelFor(0, n, ElemGrain(n),
+                [&](int64_t lo, int64_t hi) { fwd(x + lo, y + lo, hi - lo); });
   };
   compute();
   CROSSEM_PLAN_CAPTURE(compute, a, out);
   return out;
+}
+
+/// UnaryBlockOp over per-element functions: `fwd(x)` returns the output
+/// and `dydx(x, y)` the local derivative given input and output values.
+template <typename FwdFn, typename DyDxFn>
+Tensor UnaryOp(const Tensor& a, const char* name, FwdFn fwd, DyDxFn dydx) {
+  return UnaryBlockOp(
+      a, name,
+      [fwd](const float* x, float* y, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) y[i] = fwd(x[i]);
+      },
+      [dydx](const float* x, const float* y, float* d, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) d[i] = dydx(x[i], y[i]);
+      });
 }
 
 /// Rows of C per parallel chunk; also the unit the row micro-kernel tiles.
@@ -421,22 +446,6 @@ constexpr int64_t kGemmKBlock = 256;
 /// towers stay inline; the 256^3-and-up matrices still fan out.
 constexpr int64_t kGemmMinParallelOps = int64_t{1} << 21;
 
-// Function multi-versioning for the GEMM inner kernel: the binary stays
-// baseline x86-64 (no -march flags leak into the portable build), but the
-// dynamic loader's ifunc resolver picks an AVX2+FMA clone on CPUs that
-// have it. Every clone accumulates each C row in ascending-p order, so
-// results on a given machine are identical regardless of which clone runs
-// — the thread-count determinism contract is unaffected.
-// Sanitizer builds drop the clones: TSan/ASan runtimes intercept ifunc
-// resolution and crash on multi-versioned symbols.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define CROSSEM_GEMM_CLONES \
-  __attribute__((target_clones("arch=x86-64-v3", "default")))
-#else
-#define CROSSEM_GEMM_CLONES
-#endif
-
 /// Columns of C held in registers across a K-panel (4 rows x 16 cols of
 /// float accumulators fits the 16 YMM registers of the AVX2 clone).
 constexpr int64_t kGemmNTile = 16;
@@ -448,8 +457,9 @@ constexpr int64_t kGemmNTile = 16;
 /// stored back once — C traffic is O(m*n) per panel instead of O(m*n*k).
 /// Each C element still accumulates its products in ascending-p order in
 /// every tile/remainder path, so results are independent of tiling edges
-/// and thread count.
-CROSSEM_GEMM_CLONES
+/// and thread count. The AVX2 clone contracts `t += a * b` into FMAs, so
+/// the clone a host picks decides the rounding (util/target_clones.h).
+CROSSEM_TARGET_CLONES
 void GemmRowBlock(const float* a, const float* b, float* c, int64_t k,
                   int64_t n, int64_t p0, int64_t p1, int64_t r0, int64_t r1) {
   int64_t i = r0;
@@ -616,49 +626,6 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   });
 }
 
-// GELU tanh approximation, shared between ops::Gelu and the fused
-// bias+activation kernel so both paths round identically per element.
-constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-
-// The forward and the derivative associate x^3 differently, so their tanh
-// arguments can round apart; each keeps its own.
-inline float GeluFwdArg(float x) { return kGeluC * (x + kGeluA * x * x * x); }
-
-inline float GeluBwdArg(float x) {
-  float x3 = x * x * x;
-  return kGeluC * (x + kGeluA * x3);
-}
-
-/// d GELU / dx given t = tanh(GeluBwdArg(x)).
-inline float GeluBwdFromTanh(float x, float t) {
-  float sech2 = 1.0f - t * t;
-  return 0.5f * (1.0f + t) +
-         0.5f * x * sech2 * kGeluC * (1.0f + 3.0f * kGeluA * x * x);
-}
-
-inline float GeluFwd(float x) {
-  return 0.5f * x * (1.0f + std::tanh(GeluFwdArg(x)));
-}
-
-inline float GeluBwd(float x) {
-  return GeluBwdFromTanh(x, std::tanh(GeluBwdArg(x)));
-}
-
-/// GeluFwd(x), storing GeluBwd(x) bitwise in *dydx. The forward's tanh
-/// serves the derivative wherever the two arguments round to the same
-/// float (~98% of unit-normal inputs); elsewhere the derivative takes its
-/// own tanh, as GeluBwd would.
-inline float GeluFwdSaveBwd(float x, float* dydx) {
-  const float fwd_arg = GeluFwdArg(x);
-  const float bwd_arg = GeluBwdArg(x);
-  const float t = std::tanh(fwd_arg);
-  const bool same = std::bit_cast<uint32_t>(fwd_arg) ==
-                    std::bit_cast<uint32_t>(bwd_arg);
-  *dydx = GeluBwdFromTanh(x, same ? t : std::tanh(bwd_arg));
-  return 0.5f * x * (1.0f + t);
-}
-
 FusedKernels ResolveFusedKernelsDefault() {
   const char* env = std::getenv("CROSSEM_FUSED_KERNELS");
   if (env != nullptr &&
@@ -808,16 +775,19 @@ Tensor Relu(const Tensor& a) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  // tanh approximation: 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-  return UnaryOp(
-      a, "gelu", [](float x) { return GeluFwd(x); },
-      [](float x, float) { return GeluBwd(x); });
+  return UnaryBlockOp(
+      a, "gelu", vmath::Gelu,
+      [](const float* x, const float*, float* d, int64_t n) {
+        vmath::GeluDerivative(x, d, n);
+      });
 }
 
 Tensor Tanh(const Tensor& a) {
-  return UnaryOp(
-      a, "tanh", [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
+  return UnaryBlockOp(
+      a, "tanh", vmath::Tanh,
+      [](const float*, const float* y, float* d, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) d[i] = 1.0f - y[i] * y[i];
+      });
 }
 
 Tensor Sigmoid(const Tensor& a) {
@@ -1328,10 +1298,12 @@ Tensor L2Normalize(const Tensor& a, float eps) {
 //
 // Each kernel below replays the arithmetic of the composed-op graph it
 // replaces, per element and in the same accumulation order, so fused and
-// reference paths produce bitwise-identical values and gradients (the
-// build compiles this file without FMA contraction, so every float op
-// rounds individually and the sequences really are reproducible). The
-// fusion rules are documented in DESIGN.md §12.
+// reference paths produce bitwise-identical values and gradients. The
+// build does not turn FMA contraction off (g++ defaults to
+// -ffp-contract=fast), but these kernels are compiled for baseline x86-64
+// only, which has no FMA instruction, so every float op rounds
+// individually and the sequences really are reproducible. The fusion
+// rules are documented in DESIGN.md §12.
 
 Tensor LayerNormFused(const Tensor& x, const Tensor& gamma,
                       const Tensor& beta, float eps) {
@@ -1546,29 +1518,11 @@ Tensor ScaledMaskedSoftmax(const Tensor& x, float scale,
 
 namespace {
 
-inline float BiasActFwd(BiasAct act, float z) {
-  switch (act) {
-    case BiasAct::kNone:
-      return z;
-    case BiasAct::kRelu:
-      return z > 0.0f ? z : 0.0f;
-    case BiasAct::kGelu:
-      return GeluFwd(z);
-  }
-  return z;
-}
-
-/// d(act)/dz; kNone uses the composed Add backward's implicit factor 1.
+/// d(act)/dz for the activations whose backward recomputes z: kRelu, and
+/// kNone with the composed Add backward's implicit factor 1. GELU's
+/// derivative is saved by its forward.
 inline float BiasActBwd(BiasAct act, float z) {
-  switch (act) {
-    case BiasAct::kNone:
-      return 1.0f;
-    case BiasAct::kRelu:
-      return z > 0.0f ? 1.0f : 0.0f;
-    case BiasAct::kGelu:
-      return GeluBwd(z);
-  }
-  return 1.0f;
+  return act != BiasAct::kRelu || z > 0.0f ? 1.0f : 0.0f;
 }
 
 }  // namespace
@@ -1595,7 +1549,9 @@ Tensor BiasActivation(const Tensor& x, const Tensor& bias, BiasAct act) {
     const float* g = out.grad->data();
     const float* xv = x_impl->storage->data();
     const float* bv = b_impl->storage->data();
+    // dact exists exactly when the op records this backward.
     const float* d = dact.defined() ? dact.data() : nullptr;
+    CROSSEM_CHECK(act != BiasAct::kGelu || d != nullptr);
     if (NeedsGrad(x_impl)) {
       float* gx = x_impl->MutableGrad().data();
       ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
@@ -1635,11 +1591,25 @@ Tensor BiasActivation(const Tensor& x, const Tensor& bias, BiasAct act) {
                   bv = static_cast<const float*>(bias.data()), y = out.data(),
                   d = dact.defined() ? dact.data() : nullptr, n, cols, act]() {
     ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
-      int64_t c = lo % cols;
-      for (int64_t i = lo; i < hi; ++i) {
-        const float z = xv[i] + bv[c];
-        y[i] = d != nullptr ? GeluFwdSaveBwd(z, d + i) : BiasActFwd(act, z);
-        if (++c == cols) c = 0;
+      // One row segment of [lo, hi) at a time: the bias add vectorizes,
+      // then the activation runs over the segment in place.
+      for (int64_t i = lo; i < hi;) {
+        const int64_t c0 = i % cols;
+        const int64_t len = std::min(hi - i, cols - c0);
+        const float* xr = xv + i;
+        const float* br = bv + c0;
+        float* yr = y + i;
+        for (int64_t c = 0; c < len; ++c) yr[c] = xr[c] + br[c];
+        if (act == BiasAct::kRelu) {
+          for (int64_t c = 0; c < len; ++c) {
+            yr[c] = yr[c] > 0.0f ? yr[c] : 0.0f;
+          }
+        } else if (act == BiasAct::kGelu && d != nullptr) {
+          vmath::GeluWithDerivative(yr, yr, d + i, len);
+        } else if (act == BiasAct::kGelu) {
+          vmath::Gelu(yr, yr, len);
+        }
+        i += len;
       }
     });
   };
