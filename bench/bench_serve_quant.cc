@@ -1,4 +1,4 @@
-// Quantized serving benchmark (DESIGN.md §17): flat-scan throughput,
+// Quantized serving benchmark (DESIGN.md §16): flat-scan throughput,
 // memory footprint, and post-re-rank recall for every row format on the
 // 30k x 32 clustered world, written to BENCH_serve_quant.json.
 //

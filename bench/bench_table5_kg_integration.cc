@@ -1,7 +1,7 @@
 // Reproduces Table V (case study): multi-modal knowledge graph
 // integration on the FB15K-237-IMG-like dataset — predicting which images
 // attach to which (test) entities, given the graph plus the train-class
-// image links. Averaged over 3 seeds.
+// image links. Averaged over the seeds in kSeeds.
 //
 // Expected shape (paper Sec. V-D): the CrossEM variants outperform the
 // link-prediction-style baselines (ViLBERT, TransAE, DistMult, RotatE,

@@ -179,9 +179,5 @@ std::string FusedReportPath() {
   return ReportPathFromEnv("CROSSEM_BENCH_FUSED_JSON", "BENCH_fused.json");
 }
 
-std::string PlanReportPath() {
-  return ReportPathFromEnv("CROSSEM_BENCH_PLAN_JSON", "BENCH_plan.json");
-}
-
 }  // namespace bench
 }  // namespace crossem

@@ -68,10 +68,6 @@ std::string ParallelReportPath();
 /// or "BENCH_fused.json" in the working directory.
 std::string FusedReportPath();
 
-/// Output path for the execution-plan report: CROSSEM_BENCH_PLAN_JSON, or
-/// "BENCH_plan.json" in the working directory.
-std::string PlanReportPath();
-
 }  // namespace bench
 }  // namespace crossem
 

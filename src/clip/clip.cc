@@ -175,29 +175,6 @@ Tensor ClipModel::ContrastiveLoss(const Tensor& text_emb,
   return ops::MulScalar(ops::Add(loss_t2i, loss_i2t), 0.5f);
 }
 
-Tensor ClipModel::ContrastiveLossSlot(const Tensor& text_emb,
-                                      const Tensor& image_emb,
-                                      const plan::IndexSlot& targets) const {
-  CROSSEM_CHECK(targets != nullptr);
-  const int64_t n = text_emb.size(0);
-  CROSSEM_CHECK_EQ(static_cast<int64_t>(targets->size()), n);
-  // Same graph as the vector form, op for op, with the per-step index
-  // inputs routed through slots so a traced plan re-reads them on replay.
-  Tensor inv_tau = ops::Div(Tensor::Scalar(1.0f), Temperature());
-  Tensor logits = ops::Mul(SimilarityMatrix(text_emb, image_emb), inv_tau);
-  Tensor loss_t2i = ops::NllLossSlot(ops::LogSoftmax(logits), targets);
-  // Image -> text: the row selection is exactly `targets` (image
-  // targets[i] picks text row i), so the slot is shared; the inverse
-  // labels are the constant identity.
-  Tensor logits_i2t = ops::Transpose(logits, 0, 1);
-  Tensor picked = ops::IndexSelectSlot(logits_i2t, targets);
-  std::vector<int64_t> inv(static_cast<size_t>(n));
-  for (size_t i = 0; i < inv.size(); ++i) inv[i] = static_cast<int64_t>(i);
-  Tensor loss_i2t =
-      ops::NllLossSlot(ops::LogSoftmax(picked), plan::MakeIndexSlot(inv));
-  return ops::MulScalar(ops::Add(loss_t2i, loss_i2t), 0.5f);
-}
-
 Tensor ClipModel::MatchingProbability(const Tensor& text_emb,
                                       const Tensor& image_emb) const {
   NoGradGuard guard;

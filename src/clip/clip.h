@@ -24,7 +24,6 @@
 #include "nn/attention.h"
 #include "nn/layers.h"
 #include "nn/module.h"
-#include "tensor/plan.h"
 #include "tensor/tensor.h"
 #include "text/tokenizer.h"
 #include "util/random.h"
@@ -125,13 +124,6 @@ class ClipModel : public nn::Module {
   /// tuning where positives are top-similarity pairs).
   Tensor ContrastiveLoss(const Tensor& text_emb, const Tensor& image_emb,
                          const std::vector<int64_t>& targets) const;
-
-  /// Slot form for execution plans: `targets` is re-read at every replay,
-  /// so one traced loss serves every step with the same pair count. The
-  /// image->text direction reuses the same slot (its row selection is
-  /// exactly `targets`); the inverse labels 0..n-1 are constant.
-  Tensor ContrastiveLossSlot(const Tensor& text_emb, const Tensor& image_emb,
-                             const plan::IndexSlot& targets) const;
 
   /// Matching probability p(v, I) of Eq. 4 for every (row, column):
   /// softmax over images of tau^{-1}-scaled cosine similarities.

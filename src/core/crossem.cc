@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "core/losses.h"
-#include "core/step_plan.h"
 #include "eval/topk.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
@@ -61,10 +60,12 @@ CrossEm::CrossEm(clip::ClipModel* model, const graph::Graph* graph,
 }
 
 Tensor CrossEm::EncodeVerticesForTraining(
-    const std::vector<graph::VertexId>& vertices) const {
+    const std::vector<graph::VertexId>& vertices,
+    const Tensor& label_bank) const {
   CROSSEM_CHECK(!vertices.empty());
   if (options_.prompt_mode == PromptMode::kSoft) {
-    SoftPromptGenerator::PromptBatch batch = soft_gen_->Generate(vertices);
+    SoftPromptGenerator::PromptBatch batch =
+        soft_gen_->Generate(vertices, label_bank);
     return model_->text().ForwardFromEmbeddings(batch.embeddings, batch.mask);
   }
   std::vector<std::string> prompts;
@@ -80,7 +81,7 @@ Tensor CrossEm::EncodeVerticesForTraining(
 Tensor CrossEm::EncodeVertices(
     const std::vector<graph::VertexId>& vertices) const {
   NoGradGuard guard;
-  return EncodeVerticesForTraining(vertices);
+  return EncodeVerticesForTraining(vertices, Tensor());
 }
 
 Tensor CrossEm::EncodeImages(const Tensor& images) const {
@@ -278,15 +279,12 @@ Result<FitStats> CrossEm::Fit(const std::vector<graph::VertexId>& vertices,
   // tower is row-independent, and GEMM accumulates each row in the same
   // order whatever its tile or thread.
   const Tensor image_bank = EncodeImages(images);
-
-  // Compiled tuning steps (core/step_plan.h): trace the step once per
-  // batch shape, replay thereafter. Built AFTER the freeze above so the
-  // traced tapes see the final requires_grad state; batches the planner
-  // declines run the eager path unchanged. CROSSEM_EXEC_PLAN=0 disables.
-  std::unique_ptr<FitStepPlanner> planner;
-  if (soft_gen_ && FitStepPlanner::Eligible(options_)) {
-    planner = std::make_unique<FitStepPlanner>(model_, soft_gen_.get(),
-                                               &options_, params, image_bank);
+  // The text-side twin: with the token table frozen, each vertex's label
+  // summary h(l_v) is a constant too. A tuned text tower changes the table
+  // every step, so it keeps the per-batch summary.
+  Tensor label_bank;
+  if (soft_gen_ && !options_.tune_text_encoder) {
+    label_bank = soft_gen_->BuildLabelSummaryTable();
   }
 
   FitStats stats;
@@ -363,9 +361,9 @@ Result<FitStats> CrossEm::Fit(const std::vector<graph::VertexId>& vertices,
     int64_t retries = 0;
     EpochStats es;
     for (;;) {
-      CROSSEM_RETURN_NOT_OK(RunEpochAttempt(vertices, image_bank, proximity,
-                                            &generator, &optimizer, params,
-                                            planner.get(), &es));
+      CROSSEM_RETURN_NOT_OK(RunEpochAttempt(vertices, image_bank, label_bank,
+                                            proximity, &generator, &optimizer,
+                                            params, &es));
       const int64_t attempted = es.num_batches + es.bad_batches;
       const bool diverged =
           attempted > 0 &&
@@ -451,11 +449,12 @@ Result<FitStats> CrossEm::Fit(const std::vector<graph::VertexId>& vertices,
 
 Status CrossEm::RunEpochAttempt(const std::vector<graph::VertexId>& vertices,
                                 const Tensor& image_bank,
+                                const Tensor& label_bank,
                                 const Tensor& proximity,
                                 MiniBatchGenerator* generator,
                                 nn::Optimizer* optimizer,
                                 const std::vector<Tensor>& params,
-                                FitStepPlanner* planner, EpochStats* es) {
+                                EpochStats* es) {
   *es = EpochStats{};
   const int64_t num_images = image_bank.size(0);
 
@@ -535,79 +534,60 @@ Status CrossEm::RunEpochAttempt(const std::vector<graph::VertexId>& vertices,
     pairs += static_cast<int64_t>(mb.vertices.size()) *
              static_cast<int64_t>(mb.image_indices.size());
 
-    Tensor loss;
-    bool have_pairs = false;
-    bool planned = false;
-    if (planner != nullptr) {
-      // Compiled step: encode + score + loss replayed from the traced
-      // plan (or traced now, which is the same eager math instrumented).
-      FitStepPlanner::StepOutcome fwd;
-      phase_timer.Restart();
-      planned = planner->RunForward(mb.vertices, mb.image_indices, &fwd);
-      if (planned) {
-        // The planned step fuses encode and score; book it under encode.
-        es->encode_seconds += phase_timer.ElapsedSeconds();
-        have_pairs = fwd.num_confident > 0;
-        loss = fwd.loss;
-      }
+    // Image side: the batch's rows of the frozen tower's bank (no tape;
+    // IndexSelect bounds-checks every index).
+    phase_timer.Restart();
+    Tensor image_emb;
+    {
+      CROSSEM_TRACE_SPAN("encode");
+      image_emb = ops::IndexSelect(image_bank, mb.image_indices);
     }
-    if (!planned) {
-      // Image side: the batch's rows of the frozen tower's bank (no
-      // tape; IndexSelect bounds-checks every index).
-      phase_timer.Restart();
-      Tensor image_emb;
-      {
-        CROSSEM_TRACE_SPAN("encode");
-        image_emb = ops::IndexSelect(image_bank, mb.image_indices);
-      }
-      Tensor text_emb;
-      {
-        CROSSEM_TRACE_SPAN("encode");
-        text_emb = EncodeVerticesForTraining(mb.vertices);
-      }
-      es->encode_seconds += phase_timer.ElapsedSeconds();
+    Tensor text_emb;
+    {
+      CROSSEM_TRACE_SPAN("encode");
+      text_emb = EncodeVerticesForTraining(mb.vertices, label_bank);
+    }
+    es->encode_seconds += phase_timer.ElapsedSeconds();
 
-      // Pseudo-positives X_p: the top-similarity pairs of the batch
-      // (paper Sec. II-B: "X_p is collected from the pairs with top
-      // similarity"; the rest forms X_n). We take mutual nearest
-      // neighbors — (v, I) where I is v's best image AND v is I's best
-      // vertex — which keeps only confident pairs and avoids the drift
-      // of forcing a positive for every vertex.
-      phase_timer.Restart();
-      std::vector<int64_t> confident_rows;
-      std::vector<int64_t> confident_targets;
+    // Pseudo-positives X_p: the top-similarity pairs of the batch (paper
+    // Sec. II-B: "X_p is collected from the pairs with top similarity";
+    // the rest forms X_n). We take mutual nearest neighbors — (v, I)
+    // where I is v's best image AND v is I's best vertex — which keeps
+    // only confident pairs and avoids the drift of forcing a positive for
+    // every vertex.
+    phase_timer.Restart();
+    std::vector<int64_t> confident_rows;
+    std::vector<int64_t> confident_targets;
+    Tensor loss;
+    {
+      CROSSEM_TRACE_SPAN("score");
       {
-        CROSSEM_TRACE_SPAN("score");
-        {
-          NoGradGuard guard;
-          Tensor sim = clip::ClipModel::SimilarityMatrix(text_emb.Detach(),
-                                                         image_emb);
-          std::vector<int64_t> t2i = ops::ArgMax(sim, -1);
-          std::vector<int64_t> i2t =
-              ops::ArgMax(ops::Transpose(sim, 0, 1), -1);
-          for (size_t r = 0; r < t2i.size(); ++r) {
-            const int64_t img = t2i[r];
-            if (i2t[static_cast<size_t>(img)] == static_cast<int64_t>(r)) {
-              confident_rows.push_back(static_cast<int64_t>(r));
-              confident_targets.push_back(img);
-            }
-          }
-        }
-        if (!confident_rows.empty()) {
-          Tensor selected_text = ops::IndexSelect(text_emb, confident_rows);
-          loss = model_->ContrastiveLoss(selected_text, image_emb,
-                                         confident_targets);
-          if (options_.use_orthogonal_constraint && soft_gen_) {
-            Tensor lo = OrthogonalPromptLoss(
-                soft_gen_->PromptFeatures(mb.vertices));
-            loss = CombinedLoss(loss, lo, options_.beta);
+        NoGradGuard guard;
+        Tensor sim = clip::ClipModel::SimilarityMatrix(text_emb.Detach(),
+                                                       image_emb);
+        std::vector<int64_t> t2i = ops::ArgMax(sim, -1);
+        std::vector<int64_t> i2t = ops::ArgMax(ops::Transpose(sim, 0, 1), -1);
+        for (size_t r = 0; r < t2i.size(); ++r) {
+          const int64_t img = t2i[r];
+          if (i2t[static_cast<size_t>(img)] == static_cast<int64_t>(r)) {
+            confident_rows.push_back(static_cast<int64_t>(r));
+            confident_targets.push_back(img);
           }
         }
       }
-      es->score_seconds += phase_timer.ElapsedSeconds();
-      have_pairs = !confident_rows.empty();
+      if (!confident_rows.empty()) {
+        Tensor selected_text = ops::IndexSelect(text_emb, confident_rows);
+        loss = model_->ContrastiveLoss(selected_text, image_emb,
+                                       confident_targets);
+        if (options_.use_orthogonal_constraint && soft_gen_) {
+          Tensor lo =
+              OrthogonalPromptLoss(soft_gen_->PromptFeatures(mb.vertices));
+          loss = CombinedLoss(loss, lo, options_.beta);
+        }
+      }
     }
-    if (!have_pairs) continue;  // no trustworthy pair
+    es->score_seconds += phase_timer.ElapsedSeconds();
+    if (confident_rows.empty()) continue;  // no trustworthy pair
 
     optimizer->ZeroGrad();
 
@@ -620,11 +600,7 @@ Status CrossEm::RunEpochAttempt(const std::vector<graph::VertexId>& vertices,
       phase_timer.Restart();
       {
         CROSSEM_TRACE_SPAN("backward");
-        if (planned) {
-          planner->RunBackward();  // tape replay (or first-time record)
-        } else {
-          loss.Backward();
-        }
+        loss.Backward();
         batch_grad_norm = nn::ClipGradNorm(params, options_.grad_clip);
       }
       es->backward_seconds += phase_timer.ElapsedSeconds();

@@ -38,8 +38,6 @@
 namespace crossem {
 namespace core {
 
-class FitStepPlanner;
-
 /// Prompt generation mechanism (paper Sec. III).
 enum class PromptMode {
   kBaseline,  // naive "a photo of <label>" (the zero-shot CLIP baseline)
@@ -162,7 +160,9 @@ class CrossEm {
   ///
   /// The image tower and contrastive head stay frozen (paper Sec. II-C),
   /// so the candidate images are encoded once per Fit and every tuning
-  /// step gathers its batch rows from that [N, embed_dim] bank.
+  /// step gathers its batch rows from that [N, embed_dim] bank. With the
+  /// text tower frozen too, the soft prompt's label summaries h(l_v) are
+  /// likewise built once per Fit and gathered.
   ///
   /// Baseline and hard prompt modes are discrete — there is nothing to
   /// tune unless tune_text_encoder is set (paper Tables III-IV report no
@@ -214,9 +214,10 @@ class CrossEm {
   const HardPromptGenerator& hard_prompt() const { return hard_gen_; }
 
  private:
-  /// Vertex embeddings with gradients (training path).
-  Tensor EncodeVerticesForTraining(
-      const std::vector<graph::VertexId>& vertices) const;
+  /// Vertex embeddings with gradients (training path). `label_bank`, if
+  /// defined, is the soft prompt's BuildLabelSummaryTable().
+  Tensor EncodeVerticesForTraining(const std::vector<graph::VertexId>& vertices,
+                                   const Tensor& label_bank) const;
 
   /// Trainable parameter set under the current options.
   std::vector<Tensor> TrainableParameters() const;
@@ -228,16 +229,15 @@ class CrossEm {
   /// One full pass over the (re)generated mini-batches, with the
   /// non-finite batch guard. Fills loss/num_batches/num_pairs/bad_batches
   /// of `es`; the caller decides whether the attempt diverged.
-  /// `image_bank` is EncodeImages() of the candidate images. `planner`
-  /// (may be null) runs eligible batches as compiled trace/replay steps
-  /// (core/step_plan.h); any batch it declines falls back to the eager
-  /// path below it.
+  /// `image_bank` is EncodeImages() of the candidate images and
+  /// `label_bank` the soft prompt's label summaries (undefined when the
+  /// text tower is tuned).
   Status RunEpochAttempt(const std::vector<graph::VertexId>& vertices,
-                         const Tensor& image_bank, const Tensor& proximity,
+                         const Tensor& image_bank, const Tensor& label_bank,
+                         const Tensor& proximity,
                          MiniBatchGenerator* generator,
                          nn::Optimizer* optimizer,
-                         const std::vector<Tensor>& params,
-                         FitStepPlanner* planner, EpochStats* es);
+                         const std::vector<Tensor>& params, EpochStats* es);
 
   clip::ClipModel* model_;
   const graph::Graph* graph_;

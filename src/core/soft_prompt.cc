@@ -83,17 +83,6 @@ Tensor SoftPromptGenerator::PromptFeatures(
   return ops::IndexSelect(all, vertices);
 }
 
-Tensor SoftPromptGenerator::PromptFeaturesSlot(
-    const plan::IndexSlot& vertices) const {
-  Tensor all;
-  if (options_.backbone == SoftBackbone::kGraphSage) {
-    all = sage_->Forward(vertex_features_, neighbor_mean_);
-  } else {
-    all = nn::MeanAggregate(vertex_features_, neighbor_mean_, options_.alpha);
-  }
-  return ops::IndexSelectSlot(all, vertices);
-}
-
 std::vector<int64_t> SoftPromptGenerator::LabelTokenIds(
     graph::VertexId v) const {
   auto words = text::SplitWords(graph_->VertexLabel(v));
@@ -125,10 +114,8 @@ Tensor SoftPromptGenerator::BuildLabelSummaryTable() const {
   const Tensor& table = text_encoder_->token_embedding().table();
   Tensor out = Tensor::Zeros({n, d});
   for (graph::VertexId v = 0; v < n; ++v) {
-    // The same IndexSelect+Mean graph LabelSummary() runs per batch; the
-    // stored row is the identical float vector, so gathering from this
-    // table is bitwise-equal to recomputing (while the token table is
-    // frozen).
+    // The same IndexSelect+Mean graph LabelSummary() runs per batch, so
+    // the stored row is the identical float vector.
     Tensor row = ops::Mean(ops::IndexSelect(table, LabelTokenIds(v)), 0,
                            /*keepdim=*/false);
     std::copy_n(row.data(), d, out.data() + v * d);
@@ -157,7 +144,8 @@ std::vector<std::vector<int64_t>> SoftPromptGenerator::TokenizeLabels(
 }
 
 SoftPromptGenerator::PromptBatch SoftPromptGenerator::Generate(
-    const std::vector<graph::VertexId>& vertices) const {
+    const std::vector<graph::VertexId>& vertices,
+    const Tensor& label_bank) const {
   CROSSEM_CHECK(!vertices.empty());
   const int64_t b = static_cast<int64_t>(vertices.size());
   const int64_t d = text_encoder_->model_dim();
@@ -178,7 +166,9 @@ SoftPromptGenerator::PromptBatch SoftPromptGenerator::Generate(
   tok = ops::Reshape(tok, {b, len, d});
 
   // h^l(v) = ReLU(W (h(l_v) ++ f_pro^s(v)))  (Eq. 7).
-  Tensor label_summary = LabelSummary(vertices);        // [B, D]
+  Tensor label_summary = label_bank.defined()
+                             ? ops::IndexSelect(label_bank, vertices)
+                             : LabelSummary(vertices);  // [B, D]
   Tensor prompt = PromptFeatures(vertices);             // [B, D]
   Tensor injected = ops::Relu(injector_->Forward(
       ops::Concat({label_summary, prompt}, /*dim=*/1)));  // [B, D]
@@ -202,36 +192,6 @@ SoftPromptGenerator::PromptBatch SoftPromptGenerator::Generate(
     }
     m[i * total + len] = 1.0f;  // injected prompt
   }
-  return batch;
-}
-
-SoftPromptGenerator::PromptBatch SoftPromptGenerator::GenerateSlot(
-    const plan::IndexSlot& vertices, const plan::IndexSlot& flat_tokens,
-    int64_t padded_len, const Tensor& label_summary,
-    const Tensor& mask) const {
-  CROSSEM_CHECK(vertices != nullptr && !vertices->empty());
-  CROSSEM_CHECK(flat_tokens != nullptr);
-  const int64_t b = static_cast<int64_t>(vertices->size());
-  const int64_t d = text_encoder_->model_dim();
-  CROSSEM_CHECK_EQ(static_cast<int64_t>(flat_tokens->size()), b * padded_len);
-  CROSSEM_CHECK_LE(padded_len + 1, text_encoder_->context_length());
-  CROSSEM_CHECK_EQ(mask.size(0), b);
-  CROSSEM_CHECK_EQ(mask.size(1), padded_len + 1);
-
-  // Same graph as Generate(), op for op, with the token ids / vertex ids
-  // flowing through slots and the mask a caller-refreshed write-in buffer.
-  Tensor tok = text_encoder_->token_embedding().ForwardSlot(flat_tokens);
-  tok = ops::Reshape(tok, {b, padded_len, d});
-
-  Tensor summary = ops::IndexSelectSlot(label_summary, vertices);  // [B, D]
-  Tensor prompt = PromptFeaturesSlot(vertices);                    // [B, D]
-  Tensor injected = ops::Relu(injector_->Forward(
-      ops::Concat({summary, prompt}, /*dim=*/1)));                 // [B, D]
-  injected = ops::Reshape(injected, {b, 1, d});
-
-  PromptBatch batch;
-  batch.embeddings = ops::Concat({tok, injected}, 1);  // [B, T, D]
-  batch.mask = mask;
   return batch;
 }
 

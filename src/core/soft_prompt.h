@@ -30,7 +30,6 @@
 #include "nn/graph_agg.h"
 #include "nn/layers.h"
 #include "nn/module.h"
-#include "tensor/plan.h"
 #include "text/tokenizer.h"
 
 namespace crossem {
@@ -63,51 +62,34 @@ class SoftPromptGenerator : public nn::Module {
     Tensor mask;        // [B, T]; 1 = attended position
   };
 
-  /// Builds prompt-injected input sequences for a vertex batch.
-  PromptBatch Generate(const std::vector<graph::VertexId>& vertices) const;
+  /// Builds prompt-injected input sequences for a vertex batch. With a
+  /// `label_bank` (BuildLabelSummaryTable()), h(l_v) is gathered from it
+  /// instead of recomputed from the token table.
+  PromptBatch Generate(const std::vector<graph::VertexId>& vertices,
+                       const Tensor& label_bank = Tensor()) const;
 
   /// The raw prompt features f_pro^s for a vertex batch [B, model_dim]
   /// (stacked prompt matrix f_i^s used by the orthogonal constraint,
   /// Eq. 9).
   Tensor PromptFeatures(const std::vector<graph::VertexId>& vertices) const;
 
-  /// PromptFeatures with the vertex batch routed through an execution-plan
-  /// slot (re-read at every replay).
-  Tensor PromptFeaturesSlot(const plan::IndexSlot& vertices) const;
+  /// Mean label-token embedding h(l_v) for a vertex batch [B, model_dim],
+  /// read from the current token table.
+  Tensor LabelSummary(const std::vector<graph::VertexId>& vertices) const;
 
-  /// The padded label-token rows Generate() encodes for a vertex batch —
-  /// exposed so an execution-plan caller can tokenize on the host and feed
-  /// the ids through a slot. Row length varies with the batch (padding to
-  /// the longest serialization), so it is part of a plan's shape key.
-  std::vector<std::vector<int64_t>> TokenizeLabels(
-      const std::vector<graph::VertexId>& vertices) const;
-
-  /// Plan-capture variant of Generate(): every per-step input flows
-  /// through a slot or a caller-owned write-in buffer so one traced graph
-  /// serves every batch of the same shape.
-  ///   `vertices`      — vertex ids, batch of B
-  ///   `flat_tokens`   — row-major padded token ids, B * padded_len
-  ///   `padded_len`    — the traced token row length
-  ///   `label_summary` — [N, model_dim] table from BuildLabelSummaryTable()
-  ///   `mask`          — caller-owned [B, padded_len + 1] attention mask,
-  ///                     refreshed by the host before each replay
-  PromptBatch GenerateSlot(const plan::IndexSlot& vertices,
-                           const plan::IndexSlot& flat_tokens,
-                           int64_t padded_len, const Tensor& label_summary,
-                           const Tensor& mask) const;
-
-  /// Precomputes h(l_v) for EVERY vertex as an [N, model_dim] constant,
-  /// each row built by the same IndexSelect+Mean graph LabelSummary()
-  /// runs per batch (so gathered rows are bitwise-equal to eager
-  /// recomputation). Only valid while the token-embedding table is frozen
-  /// — callers (the fit-step planner) must rebuild it per tuning run.
+  /// The label bank: h(l_v) for EVERY vertex as an [N, model_dim]
+  /// constant, each row built by the same IndexSelect+Mean graph
+  /// LabelSummary() runs per batch, so gathered rows are bitwise its
+  /// output. Only valid while the token-embedding table is frozen, so
+  /// callers build it per tuning run.
   Tensor BuildLabelSummaryTable() const;
 
   const Tensor& vertex_features() const { return vertex_features_; }
 
  private:
-  /// Mean label-token embedding h(l_v) for a vertex batch [B, model_dim].
-  Tensor LabelSummary(const std::vector<graph::VertexId>& vertices) const;
+  /// The padded label-token rows Generate() encodes for a vertex batch.
+  std::vector<std::vector<int64_t>> TokenizeLabels(
+      const std::vector<graph::VertexId>& vertices) const;
 
   /// Label token ids for one vertex (shared by init, LabelSummary and the
   /// precomputed table).

@@ -1,5 +1,5 @@
 // The HTTP application over the match engine: routing, request/response
-// JSON, and the admission-control front door (DESIGN.md §15).
+// JSON, and the admission-control front door (DESIGN.md §14).
 //
 // Routes:
 //   POST /v1/match       — one match query. Body {"entity": LABEL,

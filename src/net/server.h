@@ -1,5 +1,5 @@
 // Dependency-free HTTP/1.1 server: one epoll event loop + a worker
-// pool (DESIGN.md §15).
+// pool (DESIGN.md §14).
 //
 // Threading model:
 //

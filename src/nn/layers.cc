@@ -53,10 +53,6 @@ Tensor Embedding::Forward(const std::vector<int64_t>& indices) const {
   return ops::IndexSelect(table_, indices);
 }
 
-Tensor Embedding::ForwardSlot(const plan::IndexSlot& indices) const {
-  return ops::IndexSelectSlot(table_, indices);
-}
-
 LayerNorm::LayerNorm(int64_t dim, float eps) : dim_(dim), eps_(eps) {
   gamma_ = RegisterParameter("gamma", Tensor::Ones({dim}));
   beta_ = RegisterParameter("beta", Tensor::Zeros({dim}));

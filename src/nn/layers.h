@@ -44,10 +44,6 @@ class Embedding : public Module {
   /// indices -> [len(indices), dim].
   Tensor Forward(const std::vector<int64_t>& indices) const;
 
-  /// Slot form for execution plans: the lookup re-reads the slot at every
-  /// replay (ops::IndexSelectSlot).
-  Tensor ForwardSlot(const plan::IndexSlot& indices) const;
-
   const Tensor& table() const { return table_; }
   int64_t num_embeddings() const { return num_embeddings_; }
   int64_t dim() const { return dim_; }

@@ -51,11 +51,6 @@ void Module::RestoreParameters(const std::vector<Tensor>& snapshot) {
   }
 }
 
-void Module::BindToPlan(plan::ExecutionPlan* plan) const {
-  CROSSEM_CHECK(plan != nullptr);
-  plan->BindParams(Parameters());
-}
-
 void Module::SetTraining(bool training) {
   training_ = training;
   for (auto& [name, child] : children_) child->SetTraining(training);

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "tensor/plan.h"
 #include "tensor/tensor.h"
 
 namespace crossem {
@@ -52,11 +51,6 @@ class Module {
   /// children.
   void SetTraining(bool training);
   bool training() const { return training_; }
-
-  /// Pins this module's parameter storages into `plan` so replaying a
-  /// schedule traced through this module is rejected as stale if the
-  /// parameters are ever reallocated (plan::ExecutionPlan::Validate).
-  void BindToPlan(plan::ExecutionPlan* plan) const;
 
  protected:
   Module() = default;

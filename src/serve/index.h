@@ -19,7 +19,7 @@
 // so a retuned model cannot silently query a stale index.
 //
 // Either backend can store its rows block-quantized (serve/quant.h,
-// DESIGN.md §17): construction with QuantFormat kF16/kInt8 keeps only
+// DESIGN.md §16): construction with QuantFormat kF16/kInt8 keeps only
 // compressed rows plus an exact-f32 side store, scans/graph walks score
 // on the compressed rows via the quantized dot kernels, and Search
 // re-scores the top rerank_k candidates from the side store so ranking

@@ -1,5 +1,5 @@
 // Block-quantized embedding storage and quantized dot-product kernels
-// for the serving layer (DESIGN.md §17).
+// for the serving layer (DESIGN.md §16).
 //
 // Formats (QuantFormat):
 //   - kF32:  the original full-precision rows (no QuantStore involved);

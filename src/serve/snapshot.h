@@ -1,4 +1,4 @@
-// Versioned serving snapshots with atomic hot-swap (DESIGN.md §15).
+// Versioned serving snapshots with atomic hot-swap (DESIGN.md §14).
 //
 // A ServingSnapshot is the unit a retrain rolls out: one immutable
 // embedding index (optionally hash-partitioned into shards) plus the

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "tensor/plan.h"
 #include "tensor/vmath.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -93,9 +92,6 @@ bool RecordsGrad(const std::vector<Tensor>& inputs) {
 /// tracing is active. `backward` may be empty for non-differentiable ops.
 Tensor MakeResult(Shape shape, std::vector<Tensor> inputs, const char* name,
                   std::function<void(const TensorImpl&)> backward) {
-  // Completeness accounting: lets an open CaptureScope detect ops that
-  // never recorded a forward closure (tensor/plan.h).
-  plan::detail::NoteTensorOp();
   auto out = std::make_shared<TensorImpl>();
   out->shape = std::move(shape);
   out->storage = std::make_shared<Storage>(out->numel());
@@ -340,45 +336,30 @@ Tensor BroadcastBinaryOp(const Tensor& a, const Tensor& b, const char* name,
 
   Tensor out = MakeResult(out_shape, {a, b}, name, backward);
   const int64_t n = out.numel();
-  // Value-capturing forward: runs once eagerly; under plan capture the
-  // same closure (over the same resolved buffers) is recorded for replay.
-  auto compute = [a_plan, b_plan, periodic, a_contig, b_contig, fwd, n](
-                     const float* av, const float* bv, float* ov,
-                     const std::vector<int64_t>& ostr,
-                     const std::vector<int64_t>& astr,
-                     const std::vector<int64_t>& bstr) {
-    if (a_contig && b_contig) {
-      ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) ov[i] = fwd(av[i], bv[i]);
-      });
-    } else if (periodic) {
-      ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
-        BcastCursor ac(a_plan, lo), bc(b_plan, lo);
-        for (int64_t i = lo; i < hi; ++i) {
-          ov[i] = fwd(av[ac.index()], bv[bc.index()]);
-          ac.Advance();
-          bc.Advance();
-        }
-      });
-    } else {
-      ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          int64_t ai = a_contig ? i : BroadcastOffset(i, ostr, astr);
-          int64_t bi = b_contig ? i : BroadcastOffset(i, ostr, bstr);
-          ov[i] = fwd(av[ai], bv[bi]);
-        }
-      });
-    }
-  };
-  compute(a.data(), b.data(), out.data(), out_strides, a_strides, b_strides);
-  if (plan::CaptureActive()) {
-    plan::detail::RecordOp(
-        [compute, av = static_cast<const float*>(a.data()),
-         bv = static_cast<const float*>(b.data()), ov = out.data(),
-         out_strides, a_strides, b_strides]() {
-          compute(av, bv, ov, out_strides, a_strides, b_strides);
-        },
-        {a, b, out});
+  const float* av = a.data();
+  const float* bv = b.data();
+  float* ov = out.data();
+  if (a_contig && b_contig) {
+    ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) ov[i] = fwd(av[i], bv[i]);
+    });
+  } else if (periodic) {
+    ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
+      BcastCursor ac(a_plan, lo), bc(b_plan, lo);
+      for (int64_t i = lo; i < hi; ++i) {
+        ov[i] = fwd(av[ac.index()], bv[bc.index()]);
+        ac.Advance();
+        bc.Advance();
+      }
+    });
+  } else {
+    ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        int64_t ai = a_contig ? i : BroadcastOffset(i, out_strides, a_strides);
+        int64_t bi = b_contig ? i : BroadcastOffset(i, out_strides, b_strides);
+        ov[i] = fwd(av[ai], bv[bi]);
+      }
+    });
   }
   return out;
 }
@@ -412,13 +393,11 @@ Tensor UnaryBlockOp(const Tensor& a, const char* name, BlockFwdFn fwd,
     });
   };
   Tensor out = MakeResult(a.shape(), {a}, name, backward);
-  auto compute = [x = static_cast<const float*>(a.data()), y = out.data(),
-                  n = a.numel(), fwd]() {
-    ParallelFor(0, n, ElemGrain(n),
-                [&](int64_t lo, int64_t hi) { fwd(x + lo, y + lo, hi - lo); });
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+  const float* x = a.data();
+  float* y = out.data();
+  const int64_t n = a.numel();
+  ParallelFor(0, n, ElemGrain(n),
+              [&](int64_t lo, int64_t hi) { fwd(x + lo, y + lo, hi - lo); });
   return out;
 }
 
@@ -866,18 +845,15 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   };
 
   Tensor out = MakeResult(out_shape, {a, b}, "matmul", backward);
-  auto compute = [av = static_cast<const float*>(a.data()),
-                  bv = static_cast<const float*>(b.data()), ov = out.data(),
-                  rows, k, n, slices]() {
-    ParallelFor(0, slices, 1, [&](int64_t s0, int64_t s1) {
-      for (int64_t s = s0; s < s1; ++s) {
-        Gemm(av + s * rows * k, bv + s * k * n, ov + s * rows * n, rows, k, n,
-             false, false, false);
-      }
-    });
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, b, out);
+  const float* av = a.data();
+  const float* bv = b.data();
+  float* ov = out.data();
+  ParallelFor(0, slices, 1, [&](int64_t s0, int64_t s1) {
+    for (int64_t s = s0; s < s1; ++s) {
+      Gemm(av + s * rows * k, bv + s * k * n, ov + s * rows * n, rows, k, n,
+           false, false, false);
+    }
+  });
   return out;
 }
 
@@ -922,13 +898,7 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
 
   Tensor out = MakeResult(std::move(out_shape), {a, b}, "matmul_trans_b",
                           backward);
-  auto compute = [av = static_cast<const float*>(a.data()),
-                  bv = static_cast<const float*>(b.data()), ov = out.data(),
-                  rows, k, n]() {
-    Gemm(av, bv, ov, rows, k, n, false, true, false);
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, b, out);
+  Gemm(a.data(), b.data(), out.data(), rows, k, n, false, true, false);
   return out;
 }
 
@@ -968,15 +938,13 @@ Tensor Transpose(const Tensor& a, int64_t d0, int64_t d1) {
   };
 
   Tensor out = MakeResult(out_shape, {a}, "transpose", backward);
-  auto compute = [src = static_cast<const float*>(a.data()), dst = out.data(),
-                  n = a.numel(), out_shape, out_strides, read_strides]() {
-    ParallelFor(0, n, TransposeGrain(n), [&](int64_t lo, int64_t hi) {
-      StridedVisit(lo, hi, out_shape, out_strides, read_strides,
-                   [&](int64_t i, int64_t off) { dst[i] = src[off]; });
-    });
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+  const float* src = a.data();
+  float* dst = out.data();
+  const int64_t n = a.numel();
+  ParallelFor(0, n, TransposeGrain(n), [&](int64_t lo, int64_t hi) {
+    StridedVisit(lo, hi, out_shape, out_strides, read_strides,
+                 [&](int64_t i, int64_t off) { dst[i] = src[off]; });
+  });
   return out;
 }
 
@@ -1010,10 +978,7 @@ Tensor Reshape(const Tensor& a, Shape shape) {
     for (int64_t i = 0; i < n; ++i) ga[i] += g[i];
   };
   Tensor out = MakeResult(std::move(shape), {a}, "reshape", backward);
-  auto compute = [src = static_cast<const float*>(a.data()), dst = out.data(),
-                  n = a.numel()]() { std::copy_n(src, n, dst); };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+  std::copy_n(a.data(), a.numel(), out.data());
   return out;
 }
 
@@ -1031,22 +996,19 @@ Tensor Sum(const Tensor& a) {
                 });
   };
   Tensor out = MakeResult({}, {a}, "sum", backward);
-  auto compute = [p = static_cast<const float*>(a.data()), q = out.data(),
-                  n = a.numel()]() {
-    // Fixed-grain chunked reduction: partials are combined in chunk order,
-    // so the result is identical at any thread count (see util/parallel.h).
-    const double acc = ParallelReduce<double>(
-        0, n, GrainWithCutoff(kReduceGrain, n, 1), 0.0,
-        [p](int64_t lo, int64_t hi) {
-          double part = 0.0;
-          for (int64_t i = lo; i < hi; ++i) part += p[i];
-          return part;
-        },
-        [](double x, double y) { return x + y; });
-    q[0] = static_cast<float>(acc);
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+  const float* p = a.data();
+  const int64_t n = a.numel();
+  // Fixed-grain chunked reduction: partials are combined in chunk order,
+  // so the result is identical at any thread count (see util/parallel.h).
+  const double acc = ParallelReduce<double>(
+      0, n, GrainWithCutoff(kReduceGrain, n, 1), 0.0,
+      [p](int64_t lo, int64_t hi) {
+        double part = 0.0;
+        for (int64_t i = lo; i < hi; ++i) part += p[i];
+        return part;
+      },
+      [](double x, double y) { return x + y; });
+  out.data()[0] = static_cast<float>(acc);
   return out;
 }
 
@@ -1096,22 +1058,19 @@ Tensor Sum(const Tensor& a, int64_t dim, bool keepdim) {
                 });
   };
   Tensor out = MakeResult(std::move(out_shape), {a}, "sum_dim", backward);
-  auto compute = [p = static_cast<const float*>(a.data()), q = out.data(),
-                  n = out.numel(), outer, reduce, inner]() {
-    std::fill_n(q, n, 0.0f);
-    ParallelFor(0, outer, RowGrain(outer, reduce * inner),
-                [&](int64_t o0, int64_t o1) {
-      for (int64_t o = o0; o < o1; ++o) {
-        for (int64_t r = 0; r < reduce; ++r) {
-          for (int64_t i = 0; i < inner; ++i) {
-            q[o * inner + i] += p[(o * reduce + r) * inner + i];
-          }
+  const float* p = a.data();
+  float* q = out.data();
+  std::fill_n(q, out.numel(), 0.0f);
+  ParallelFor(0, outer, RowGrain(outer, reduce * inner),
+              [&](int64_t o0, int64_t o1) {
+    for (int64_t o = o0; o < o1; ++o) {
+      for (int64_t r = 0; r < reduce; ++r) {
+        for (int64_t i = 0; i < inner; ++i) {
+          q[o * inner + i] += p[(o * reduce + r) * inner + i];
         }
       }
-    });
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+    }
+  });
   return out;
 }
 
@@ -1177,26 +1136,23 @@ Tensor Softmax(const Tensor& a) {
     });
   };
   Tensor out = MakeResult(a.shape(), {a}, "softmax", backward);
-  auto compute = [x = static_cast<const float*>(a.data()), y = out.data(),
-                  rows, cols]() {
-    ParallelFor(0, rows, ExpRowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const float* xr = x + r * cols;
-        float* yr = y + r * cols;
-        float mx = xr[0];
-        for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
-        float denom = 0.0f;
-        for (int64_t c = 0; c < cols; ++c) {
-          yr[c] = std::exp(xr[c] - mx);
-          denom += yr[c];
-        }
-        const float inv = 1.0f / denom;
-        for (int64_t c = 0; c < cols; ++c) yr[c] *= inv;
+  const float* x = a.data();
+  float* y = out.data();
+  ParallelFor(0, rows, ExpRowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* xr = x + r * cols;
+      float* yr = y + r * cols;
+      float mx = xr[0];
+      for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
+      float denom = 0.0f;
+      for (int64_t c = 0; c < cols; ++c) {
+        yr[c] = std::exp(xr[c] - mx);
+        denom += yr[c];
       }
-    });
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+      const float inv = 1.0f / denom;
+      for (int64_t c = 0; c < cols; ++c) yr[c] *= inv;
+    }
+  });
   return out;
 }
 
@@ -1225,23 +1181,20 @@ Tensor LogSoftmax(const Tensor& a) {
     });
   };
   Tensor out = MakeResult(a.shape(), {a}, "log_softmax", backward);
-  auto compute = [x = static_cast<const float*>(a.data()), y = out.data(),
-                  rows, cols]() {
-    ParallelFor(0, rows, ExpRowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const float* xr = x + r * cols;
-        float* yr = y + r * cols;
-        float mx = xr[0];
-        for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
-        float denom = 0.0f;
-        for (int64_t c = 0; c < cols; ++c) denom += std::exp(xr[c] - mx);
-        const float log_denom = std::log(denom) + mx;
-        for (int64_t c = 0; c < cols; ++c) yr[c] = xr[c] - log_denom;
-      }
-    });
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+  const float* x = a.data();
+  float* y = out.data();
+  ParallelFor(0, rows, ExpRowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* xr = x + r * cols;
+      float* yr = y + r * cols;
+      float mx = xr[0];
+      for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, xr[c]);
+      float denom = 0.0f;
+      for (int64_t c = 0; c < cols; ++c) denom += std::exp(xr[c] - mx);
+      const float log_denom = std::log(denom) + mx;
+      for (int64_t c = 0; c < cols; ++c) yr[c] = xr[c] - log_denom;
+    }
+  });
   return out;
 }
 
@@ -1276,21 +1229,18 @@ Tensor L2Normalize(const Tensor& a, float eps) {
     });
   };
   Tensor out = MakeResult(a.shape(), {a}, "l2_normalize", backward);
-  auto compute = [x = static_cast<const float*>(a.data()), y = out.data(),
-                  rows, cols, eps]() {
-    ParallelFor(0, rows, RowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const float* xr = x + r * cols;
-        float* yr = y + r * cols;
-        float norm2 = 0.0f;
-        for (int64_t c = 0; c < cols; ++c) norm2 += xr[c] * xr[c];
-        const float inv = 1.0f / std::max(std::sqrt(norm2), eps);
-        for (int64_t c = 0; c < cols; ++c) yr[c] = xr[c] * inv;
-      }
-    });
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+  const float* x = a.data();
+  float* y = out.data();
+  ParallelFor(0, rows, RowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* xr = x + r * cols;
+      float* yr = y + r * cols;
+      float norm2 = 0.0f;
+      for (int64_t c = 0; c < cols; ++c) norm2 += xr[c] * xr[c];
+      const float inv = 1.0f / std::max(std::sqrt(norm2), eps);
+      for (int64_t c = 0; c < cols; ++c) yr[c] = xr[c] * inv;
+    }
+  });
   return out;
 }
 
@@ -1398,41 +1348,37 @@ Tensor LayerNormFused(const Tensor& x, const Tensor& gamma,
 
   Tensor out = MakeResult(x.shape(), {x, gamma, beta}, "layer_norm_fused",
                           backward);
-  auto compute = [xv = static_cast<const float*>(x.data()),
-                  gam = static_cast<const float*>(gamma.data()),
-                  bet = static_cast<const float*>(beta.data()), y = out.data(),
-                  mp = stats.data(), rows, cols, eps, inv_d]() {
-    float* vp = mp + rows;
-    ParallelFor(0, rows, RowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const float* xr = xv + r * cols;
-        float* yr = y + r * cols;
-        // Float accumulators in ascending order, matching Sum(dim).
-        float s = 0.0f;
-        for (int64_t c = 0; c < cols; ++c) s += xr[c];
-        const float m = s * inv_d;
-        float s2 = 0.0f;
-        for (int64_t c = 0; c < cols; ++c) {
-          const float cv = xr[c] - m;
-          const float sq = cv * cv;
-          s2 += sq;
-        }
-        const float var = s2 * inv_d;
-        const float vpe = var + eps;
-        const float is = std::pow(vpe, -0.5f);
-        mp[r] = m;
-        vp[r] = vpe;
-        for (int64_t c = 0; c < cols; ++c) {
-          const float norm = (xr[c] - m) * is;
-          yr[c] = (norm * gam[c]) + bet[c];
-        }
+  const float* xv = x.data();
+  const float* gam = gamma.data();
+  const float* bet = beta.data();
+  float* y = out.data();
+  float* mp = stats.data();
+  float* vp = mp + rows;
+  ParallelFor(0, rows, RowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* xr = xv + r * cols;
+      float* yr = y + r * cols;
+      // Float accumulators in ascending order, matching Sum(dim).
+      float s = 0.0f;
+      for (int64_t c = 0; c < cols; ++c) s += xr[c];
+      const float m = s * inv_d;
+      float s2 = 0.0f;
+      for (int64_t c = 0; c < cols; ++c) {
+        const float cv = xr[c] - m;
+        const float sq = cv * cv;
+        s2 += sq;
       }
-    });
-  };
-  compute();
-  // `stats` is retained too: the closure (and a traced backward) writes
-  // into its buffer, which must stay resolved for the plan's lifetime.
-  CROSSEM_PLAN_CAPTURE(compute, x, gamma, beta, out, stats);
+      const float var = s2 * inv_d;
+      const float vpe = var + eps;
+      const float is = std::pow(vpe, -0.5f);
+      mp[r] = m;
+      vp[r] = vpe;
+      for (int64_t c = 0; c < cols; ++c) {
+        const float norm = (xr[c] - m) * is;
+        yr[c] = (norm * gam[c]) + bet[c];
+      }
+    }
+  });
   return out;
 }
 
@@ -1475,44 +1421,36 @@ Tensor ScaledMaskedSoftmax(const Tensor& x, float scale,
   // The (detached) mask rides along as an input only to keep its storage
   // alive; it is a constant and receives no gradient.
   std::vector<Tensor> inputs = {x};
-  if (key_padding_mask.defined()) inputs.push_back(key_padding_mask.Detach());
+  if (key_padding_mask.defined()) inputs = {x, key_padding_mask.Detach()};
   Tensor out = MakeResult(x.shape(), std::move(inputs),
                           "scaled_masked_softmax", backward);
-  auto compute = [xv = static_cast<const float*>(x.data()),
-                  mv = key_padding_mask.defined()
-                           ? static_cast<const float*>(key_padding_mask.data())
-                           : nullptr,
-                  y = out.data(), rows, cols, rows_per_batch, scale]() {
-    ParallelFor(0, rows, ExpRowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
-      for (int64_t r = r0; r < r1; ++r) {
-        const float* xr = xv + r * cols;
-        const float* mr = mv ? mv + (r / rows_per_batch) * cols : nullptr;
-        float* yr = y + r * cols;
-        // z = x*scale (+ (mask-1)*1e9), rounded per op exactly as the
-        // composed MulScalar / AddScalar / MulScalar / Add chain stores it.
-        for (int64_t c = 0; c < cols; ++c) {
-          float z = xr[c] * scale;
-          if (mr != nullptr) z = z + ((mr[c] + (-1.0f)) * 1e9f);
-          yr[c] = z;
-        }
-        float mx = yr[0];
-        for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, yr[c]);
-        float denom = 0.0f;
-        for (int64_t c = 0; c < cols; ++c) {
-          yr[c] = std::exp(yr[c] - mx);
-          denom += yr[c];
-        }
-        const float inv = 1.0f / denom;
-        for (int64_t c = 0; c < cols; ++c) yr[c] *= inv;
+  const float* xv = x.data();
+  const float* mv =
+      key_padding_mask.defined() ? key_padding_mask.data() : nullptr;
+  float* y = out.data();
+  ParallelFor(0, rows, ExpRowGrain(rows, cols), [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const float* xr = xv + r * cols;
+      const float* mr = mv ? mv + (r / rows_per_batch) * cols : nullptr;
+      float* yr = y + r * cols;
+      // z = x*scale (+ (mask-1)*1e9), rounded per op exactly as the
+      // composed MulScalar / AddScalar / MulScalar / Add chain stores it.
+      for (int64_t c = 0; c < cols; ++c) {
+        float z = xr[c] * scale;
+        if (mr != nullptr) z = z + ((mr[c] + (-1.0f)) * 1e9f);
+        yr[c] = z;
       }
-    });
-  };
-  compute();
-  if (key_padding_mask.defined()) {
-    CROSSEM_PLAN_CAPTURE(compute, x, key_padding_mask, out);
-  } else {
-    CROSSEM_PLAN_CAPTURE(compute, x, out);
-  }
+      float mx = yr[0];
+      for (int64_t c = 1; c < cols; ++c) mx = std::max(mx, yr[c]);
+      float denom = 0.0f;
+      for (int64_t c = 0; c < cols; ++c) {
+        yr[c] = std::exp(yr[c] - mx);
+        denom += yr[c];
+      }
+      const float inv = 1.0f / denom;
+      for (int64_t c = 0; c < cols; ++c) yr[c] *= inv;
+    }
+  });
   return out;
 }
 
@@ -1587,34 +1525,32 @@ Tensor BiasActivation(const Tensor& x, const Tensor& bias, BiasAct act) {
   };
 
   Tensor out = MakeResult(x.shape(), {x, bias}, "bias_act", backward);
-  auto compute = [xv = static_cast<const float*>(x.data()),
-                  bv = static_cast<const float*>(bias.data()), y = out.data(),
-                  d = dact.defined() ? dact.data() : nullptr, n, cols, act]() {
-    ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
-      // One row segment of [lo, hi) at a time: the bias add vectorizes,
-      // then the activation runs over the segment in place.
-      for (int64_t i = lo; i < hi;) {
-        const int64_t c0 = i % cols;
-        const int64_t len = std::min(hi - i, cols - c0);
-        const float* xr = xv + i;
-        const float* br = bv + c0;
-        float* yr = y + i;
-        for (int64_t c = 0; c < len; ++c) yr[c] = xr[c] + br[c];
-        if (act == BiasAct::kRelu) {
-          for (int64_t c = 0; c < len; ++c) {
-            yr[c] = yr[c] > 0.0f ? yr[c] : 0.0f;
-          }
-        } else if (act == BiasAct::kGelu && d != nullptr) {
-          vmath::GeluWithDerivative(yr, yr, d + i, len);
-        } else if (act == BiasAct::kGelu) {
-          vmath::Gelu(yr, yr, len);
+  const float* xv = x.data();
+  const float* bv = bias.data();
+  float* y = out.data();
+  float* d = dact.defined() ? dact.data() : nullptr;
+  ParallelFor(0, n, ElemGrain(n), [&](int64_t lo, int64_t hi) {
+    // One row segment of [lo, hi) at a time: the bias add vectorizes,
+    // then the activation runs over the segment in place.
+    for (int64_t i = lo; i < hi;) {
+      const int64_t c0 = i % cols;
+      const int64_t len = std::min(hi - i, cols - c0);
+      const float* xr = xv + i;
+      const float* br = bv + c0;
+      float* yr = y + i;
+      for (int64_t c = 0; c < len; ++c) yr[c] = xr[c] + br[c];
+      if (act == BiasAct::kRelu) {
+        for (int64_t c = 0; c < len; ++c) {
+          yr[c] = yr[c] > 0.0f ? yr[c] : 0.0f;
         }
-        i += len;
+      } else if (act == BiasAct::kGelu && d != nullptr) {
+        vmath::GeluWithDerivative(yr, yr, d + i, len);
+      } else if (act == BiasAct::kGelu) {
+        vmath::Gelu(yr, yr, len);
       }
-    });
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, x, bias, out, dact);
+      i += len;
+    }
+  });
   return out;
 }
 
@@ -1672,26 +1608,16 @@ Tensor Concat(const std::vector<Tensor>& tensors, int64_t dim) {
   };
 
   Tensor out = MakeResult(out_shape, tensors, "concat", backward);
-  std::vector<const float*> srcs;
-  srcs.reserve(tensors.size());
-  for (const Tensor& t : tensors) srcs.push_back(t.data());
-  auto compute = [srcs = std::move(srcs), extents, q = out.data(), outer,
-                  inner, cat_extent]() {
-    int64_t col_offset = 0;
-    for (size_t t = 0; t < srcs.size(); ++t) {
-      const int64_t ext = extents[t];
-      for (int64_t o = 0; o < outer; ++o) {
-        std::copy_n(srcs[t] + o * ext * inner, ext * inner,
-                    q + (o * cat_extent + col_offset) * inner);
-      }
-      col_offset += ext;
+  float* q = out.data();
+  int64_t col_offset = 0;
+  for (size_t t = 0; t < tensors.size(); ++t) {
+    const float* src = tensors[t].data();
+    const int64_t ext = extents[t];
+    for (int64_t o = 0; o < outer; ++o) {
+      std::copy_n(src + o * ext * inner, ext * inner,
+                  q + (o * cat_extent + col_offset) * inner);
     }
-  };
-  compute();
-  if (plan::CaptureActive()) {
-    std::vector<Tensor> keep = tensors;
-    keep.push_back(out);
-    plan::detail::RecordOp(compute, keep);
+    col_offset += ext;
   }
   return out;
 }
@@ -1739,24 +1665,16 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end) {
     }
   };
   Tensor out = MakeResult(std::move(out_shape), {a}, "slice", backward);
-  auto compute = [p = static_cast<const float*>(a.data()), q = out.data(),
-                  outer, extent, start, inner, width]() {
-    for (int64_t o = 0; o < outer; ++o) {
-      std::copy_n(p + (o * extent + start) * inner, width * inner,
-                  q + o * width * inner);
-    }
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
+  const float* p = a.data();
+  float* q = out.data();
+  for (int64_t o = 0; o < outer; ++o) {
+    std::copy_n(p + (o * extent + start) * inner, width * inner,
+                q + o * width * inner);
+  }
   return out;
 }
 
 Tensor IndexSelect(const Tensor& a, const std::vector<int64_t>& indices) {
-  if (plan::CaptureActive()) {
-    // Fixed indices under capture: freeze them in a private slot so the
-    // recorded closures have stable storage to re-read.
-    return IndexSelectSlot(a, plan::MakeIndexSlot(indices));
-  }
   CROSSEM_CHECK_GE(a.dim(), 1);
   const int64_t rows = a.size(0);
   const int64_t row_width = a.numel() / std::max<int64_t>(rows, 1);
@@ -1788,54 +1706,9 @@ Tensor IndexSelect(const Tensor& a, const std::vector<int64_t>& indices) {
   return out;
 }
 
-Tensor IndexSelectSlot(const Tensor& a, const plan::IndexSlot& indices) {
-  CROSSEM_CHECK(indices != nullptr);
-  CROSSEM_CHECK_GE(a.dim(), 1);
-  const int64_t rows = a.size(0);
-  const int64_t row_width = a.numel() / std::max<int64_t>(rows, 1);
-  const int64_t count = static_cast<int64_t>(indices->size());
-  Shape out_shape = a.shape();
-  out_shape[0] = count;
-
-  // Forward and backward both dereference the slot at execution time, so
-  // a replayed plan gathers/scatters whatever the host wrote for this
-  // step. The slot size is part of the traced shape (CHECKed below).
-  auto a_impl = a.impl();
-  auto backward = [a_impl, indices, row_width](const TensorImpl& out) {
-    if (!NeedsGrad(a_impl)) return;
-    const std::vector<int64_t>& idx = *indices;
-    const float* g = out.grad->data();
-    float* ga = a_impl->MutableGrad().data();
-    for (size_t i = 0; i < idx.size(); ++i) {
-      const float* src = g + static_cast<int64_t>(i) * row_width;
-      float* dst = ga + idx[i] * row_width;
-      for (int64_t c = 0; c < row_width; ++c) dst[c] += src[c];
-    }
-  };
-  Tensor out = MakeResult(std::move(out_shape), {a}, "index_select", backward);
-  auto compute = [p = static_cast<const float*>(a.data()), q = out.data(),
-                  indices, rows, row_width, count]() {
-    const std::vector<int64_t>& idx = *indices;
-    CROSSEM_CHECK_EQ(static_cast<int64_t>(idx.size()), count)
-        << "index slot resized after trace";
-    for (int64_t i = 0; i < count; ++i) {
-      const int64_t r = idx[static_cast<size_t>(i)];
-      CROSSEM_CHECK_GE(r, 0);
-      CROSSEM_CHECK_LT(r, rows);
-      std::copy_n(p + r * row_width, row_width, q + i * row_width);
-    }
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, a, out);
-  return out;
-}
-
 // -- Losses --------------------------------------------------------------------------
 
 Tensor NllLoss(const Tensor& log_probs, const std::vector<int64_t>& targets) {
-  if (plan::CaptureActive()) {
-    return NllLossSlot(log_probs, plan::MakeIndexSlot(targets));
-  }
   CROSSEM_CHECK_EQ(log_probs.dim(), 2);
   const int64_t n = log_probs.size(0);
   const int64_t c = log_probs.size(1);
@@ -1865,50 +1738,6 @@ Tensor NllLoss(const Tensor& log_probs, const std::vector<int64_t>& targets) {
   return out;
 }
 
-Tensor NllLossSlot(const Tensor& log_probs, const plan::IndexSlot& targets) {
-  CROSSEM_CHECK(targets != nullptr);
-  CROSSEM_CHECK_EQ(log_probs.dim(), 2);
-  const int64_t n = log_probs.size(0);
-  const int64_t c = log_probs.size(1);
-  CROSSEM_CHECK_EQ(n, static_cast<int64_t>(targets->size()));
-
-  auto lp_impl = log_probs.impl();
-  auto backward = [lp_impl, targets, n, c](const TensorImpl& out) {
-    if (!NeedsGrad(lp_impl)) return;
-    const std::vector<int64_t>& tgt = *targets;
-    const float g = out.grad->data()[0];
-    float* ga = lp_impl->MutableGrad().data();
-    const float scale = g / static_cast<float>(n);
-    for (int64_t i = 0; i < n; ++i) {
-      ga[i * c + tgt[static_cast<size_t>(i)]] -= scale;
-    }
-  };
-  Tensor out = MakeResult({}, {log_probs}, "nll_loss", backward);
-  auto compute = [p = static_cast<const float*>(log_probs.data()),
-                  q = out.data(), targets, n, c]() {
-    const std::vector<int64_t>& tgt = *targets;
-    CROSSEM_CHECK_EQ(static_cast<int64_t>(tgt.size()), n)
-        << "target slot resized after trace";
-    double acc = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t t = tgt[static_cast<size_t>(i)];
-      CROSSEM_CHECK_GE(t, 0);
-      CROSSEM_CHECK_LT(t, c);
-      acc -= p[i * c + t];
-    }
-    q[0] = static_cast<float>(acc / static_cast<double>(n));
-  };
-  compute();
-  CROSSEM_PLAN_CAPTURE(compute, log_probs, out);
-  return out;
-}
-
-// Deliberately NOT plan-captured: the mask is redrawn from the Rng every
-// call, so a recorded closure would freeze one draw and silently replay
-// it forever. The identity path returns the input with no MakeResult, so
-// inert dropout (the Fit configuration) is invisible to capture; an
-// active-dropout trace leaves ops_seen > ops_recorded, marking the plan
-// incomplete and forcing the caller back to eager.
 Tensor Dropout(const Tensor& a, float p, bool training, Rng* rng) {
   if (!training || p <= 0.0f) return a;
   CROSSEM_CHECK(rng != nullptr);

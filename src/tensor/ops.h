@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/plan.h"
 #include "tensor/tensor.h"
 
 namespace crossem {
@@ -156,21 +155,11 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end);
 /// Backward scatter-adds (this is the embedding-lookup primitive).
 Tensor IndexSelect(const Tensor& a, const std::vector<int64_t>& indices);
 
-/// Slot form for execution plans (tensor/plan.h): the index vector is
-/// re-read at every execution, so a replayed plan gathers whatever the
-/// host wrote into the slot for this step. The slot's SIZE is fixed at
-/// trace time (it determines the output shape). Named distinctly from the
-/// vector form so brace-initialized index lists stay unambiguous.
-Tensor IndexSelectSlot(const Tensor& a, const plan::IndexSlot& indices);
-
 // -- Losses ------------------------------------------------------------------------
 
 /// Mean negative log-likelihood: -mean_i log_probs[i, targets[i]].
 /// `log_probs` is [N, C] (typically from LogSoftmax).
 Tensor NllLoss(const Tensor& log_probs, const std::vector<int64_t>& targets);
-
-/// Slot form for execution plans (see IndexSelectSlot).
-Tensor NllLossSlot(const Tensor& log_probs, const plan::IndexSlot& targets);
 
 /// Dropout with keep-prob (1-p); identity when !training or p == 0.
 Tensor Dropout(const Tensor& a, float p, bool training, Rng* rng);

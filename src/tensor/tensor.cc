@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "tensor/plan.h"
 #include "tensor/pool.h"
 #include "util/logging.h"
 #include "util/memory_tracker.h"
@@ -259,11 +258,6 @@ void Tensor::Backward() {
       node->grad_fn->backward(*node);
     }
   }
-
-  // Hand the schedule to an active execution plan (tensor/plan.h): replay
-  // re-zeroes the touched grads, re-seeds, and runs these same closures in
-  // this same order — bitwise-identical to the pass that just ran.
-  plan::detail::RecordBackward(impl_, order);
 }
 
 Tensor Tensor::Detach() const {

@@ -3,6 +3,7 @@
 #include "core/crossem.h"
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "clip/pretrain.h"
@@ -10,6 +11,7 @@
 #include "eval/metrics.h"
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
+#include "text/tokenizer.h"
 #include "util/parallel.h"
 
 namespace crossem {
@@ -248,6 +250,56 @@ TEST_F(CrossEmFixture, ImageBankRowsMatchBatchForwardBitwise) {
       NoGradGuard guard;
       const Tensor direct = model_->image().Forward(ops::Stack(rows));
       EXPECT_EQ(ops::IndexSelect(bank, idx).ToVector(), direct.ToVector());
+    }
+  }
+  SetNumThreads(0);
+}
+
+TEST_F(CrossEmFixture, LabelBankRowsMatchPerBatchSummaryBitwise) {
+  // With the text tower frozen, Fit builds every vertex's label summary
+  // h(l_v) once and each step gathers its rows. Gathered rows must be
+  // bitwise the per-batch summary, and Generate() with the bank bitwise
+  // Generate() without it: for repeated ids, one- and multi-word labels,
+  // and labels that tokenize to kUnk only, at any thread count.
+  std::string multi_word;
+  for (graph::VertexId v = 0; v < ds_->graph.NumVertices(); ++v) {
+    const std::string& label = ds_->graph.VertexLabel(v);
+    if (text::SplitWords(label).size() >= 2) {
+      multi_word = label;
+      break;
+    }
+  }
+  ASSERT_FALSE(multi_word.empty());
+  const std::string one_word = text::SplitWords(multi_word).front();
+  ASSERT_NE(ds_->vocab.Id(one_word), text::Vocabulary::kUnk);
+  graph::Graph g;
+  const graph::VertexId multi = g.AddVertex(multi_word);
+  const graph::VertexId one = g.AddVertex(one_word);
+  const graph::VertexId unknown = g.AddVertex("zzqx vvkw");  // not in vocab
+  const graph::VertexId no_words = g.AddVertex("--");        // splits to {}
+  ASSERT_TRUE(g.AddEdge(multi, one, "has trait").ok());
+  ASSERT_EQ(ds_->vocab.Id("zzqx"), text::Vocabulary::kUnk);
+
+  Rng rng(8);
+  SoftPromptGenerator gen(&g, &model_->text(), tokenizer_, SoftPromptOptions{},
+                          &rng);
+  const Tensor bank = gen.BuildLabelSummaryTable();
+  ASSERT_EQ(bank.size(0), g.NumVertices());
+  const std::vector<std::vector<graph::VertexId>> batches = {
+      {multi, one, unknown, no_words},
+      {unknown},
+      {one, one, multi},
+      {no_words, multi, no_words, unknown, one}};
+  for (int threads : {1, 8}) {
+    SetNumThreads(threads);
+    for (const auto& batch : batches) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, batch of "
+                                        << batch.size());
+      NoGradGuard guard;
+      EXPECT_EQ(ops::IndexSelect(bank, batch).ToVector(),
+                gen.LabelSummary(batch).ToVector());
+      EXPECT_EQ(gen.Generate(batch, bank).embeddings.ToVector(),
+                gen.Generate(batch).embeddings.ToVector());
     }
   }
   SetNumThreads(0);

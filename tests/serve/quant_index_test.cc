@@ -1,4 +1,4 @@
-// Quantized serving-index contracts (DESIGN.md §17): CEMCKPT2
+// Quantized serving-index contracts (DESIGN.md §16): CEMCKPT2
 // round-trips restore blocks and scales bitwise, a corrupted scale
 // record is rejected wholesale, the "<index>.f32rank" side file is
 // optional-but-validated, exact re-rank holds recall, and sharded

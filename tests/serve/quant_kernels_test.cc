@@ -1,4 +1,4 @@
-// Quantized-kernel op tests (DESIGN.md §17): every (format x kernel)
+// Quantized-kernel op tests (DESIGN.md §16): every (format x kernel)
 // cell of the dispatch table is run against a float64 scalar oracle and
 // must land within its format's NMSE tolerance, at 1 and 8 threads —
 // quantization is parallel over rows, so the thread sweep also proves

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bench regression gate for the fused-kernel / tensor-pool / plan reports.
+"""Bench regression gate for the fused-kernel / tensor-pool / serving reports.
 
 Compares freshly generated bench reports against committed baselines.
 Because CI machines differ from the machine that produced the baseline,
@@ -12,12 +12,6 @@ the gate compares the *relative* columns, which are stable across hosts:
   - optionally (--parallel), every multi-thread record in the parallel
     report must keep speedup >= (1 - threshold), i.e. parallelism must
     never make an op meaningfully slower than its baseline;
-  - optionally (--plan-baseline/--plan-current), the execution-plan report
-    (BENCH_plan.json) rides the same relative gate: the fit_step plan
-    speedups may not regress more than --threshold below the committed
-    ratios, and fit_step_replay_rate may not fall below
-    --replay-rate-floor (re-traces after warmup mean the invalidation
-    logic is thrashing);
   - optionally (--resilience), the sharded-serving chaos report
     (BENCH_resilience.json) is gated on its behavioral invariants: no
     arm may report query errors, the blackhole arm must keep mean
@@ -89,14 +83,6 @@ def compare_reports(baseline, current, args, failures):
             if cur_ratio < args.hit_rate_floor:
                 failures.append(
                     f"{note} -- pool hit rate below {args.hit_rate_floor}")
-            else:
-                print(f"ok   {note}")
-            continue
-        if op == "fit_step_replay_rate":
-            if cur_ratio < args.replay_rate_floor:
-                failures.append(
-                    f"{note} -- plan replay rate below "
-                    f"{args.replay_rate_floor} (re-traces after warmup)")
             else:
                 print(f"ok   {note}")
             continue
@@ -335,17 +321,10 @@ def main():
                          "--baseline)")
     ap.add_argument("--parallel",
                     help="freshly generated BENCH_parallel.json (optional)")
-    ap.add_argument("--plan-baseline",
-                    help="committed BENCH_plan.json (optional)")
-    ap.add_argument("--plan-current",
-                    help="freshly generated plan report (required with "
-                         "--plan-baseline)")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="allowed relative drop (default 0.15)")
     ap.add_argument("--hit-rate-floor", type=float, default=0.99,
                     help="minimum steady-state pool hit rate")
-    ap.add_argument("--replay-rate-floor", type=float, default=0.99,
-                    help="minimum steady-state plan replay rate")
     ap.add_argument("--resilience",
                     help="freshly generated BENCH_resilience.json (optional)")
     ap.add_argument("--coverage-floor", type=float, default=0.70,
@@ -384,14 +363,6 @@ def main():
     if args.baseline:
         compare_reports(load_records(args.baseline),
                         load_records(args.current), args, failures)
-
-    if args.plan_baseline:
-        if not args.plan_current:
-            print("error: --plan-baseline requires --plan-current",
-                  file=sys.stderr)
-            return 2
-        compare_reports(load_records(args.plan_baseline),
-                        load_records(args.plan_current), args, failures)
 
     if args.resilience:
         check_resilience(load_resilience(args.resilience), args, failures)

@@ -14,7 +14,6 @@
 //                 [--train-steps N] [--seed N]
 //                 [--min-probability P] [--mutual]
 //                 [--telemetry-out FILE.jsonl] [--trace-out FILE.json]
-//                 [--plan-stats]
 //
 // Image file format: one patch per row,
 //   image_id,f0,f1,...,f{D-1}
@@ -34,9 +33,7 @@
 // Observability: --telemetry-out appends one JSON object per tuning
 // epoch (loss, gradient norm, phase timing breakdown) to FILE.jsonl;
 // --trace-out enables span tracing for the whole run and writes a
-// Chrome trace_event JSON loadable in Perfetto / chrome://tracing;
-// --plan-stats dumps the execution-plan trace/replay/invalidation
-// counters (tensor/plan.h) after the run.
+// Chrome trace_event JSON loadable in Perfetto / chrome://tracing.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -48,7 +45,6 @@
 
 #include "core/crossem.h"
 #include "data/dataset.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "graph/data_mapping.h"
 #include "graph/stats.h"
@@ -81,8 +77,6 @@ struct Args {
   bool mutual = false;
   std::string telemetry_out;  // per-epoch JSONL training telemetry
   std::string trace_out;      // Chrome trace_event JSON (Perfetto)
-  /// Dump execution-plan trace/replay counters after the run.
-  bool plan_stats = false;
 };
 
 void PrintUsage() {
@@ -95,8 +89,7 @@ void PrintUsage() {
                "       [--checkpoint FILE] [--resume] [--checkpoint-every N]\n"
                "       [--train-steps N] [--seed N]\n"
                "       [--min-probability P] [--mutual]\n"
-               "       [--telemetry-out FILE.jsonl] [--trace-out FILE.json]\n"
-               "       [--plan-stats]\n");
+               "       [--telemetry-out FILE.jsonl] [--trace-out FILE.json]\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -172,8 +165,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next();
       if (v == nullptr) return false;
       args->trace_out = v;
-    } else if (flag == "--plan-stats") {
-      args->plan_stats = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -386,23 +377,6 @@ int main(int argc, char** argv) {
   }
   if (out != stdout) std::fclose(out);
   std::fprintf(stderr, "wrote %zu matching pairs\n", matches.size());
-
-  if (args.plan_stats) {
-    // Execution-plan health (tensor/plan.h): a tuned run should show a
-    // handful of traces, a replay count near the number of tuning steps,
-    // and zero invalidations unless kernels/parameters changed mid-run.
-    auto& reg = obs::MetricsRegistry::Default();
-    std::fprintf(stderr, "plan stats:\n");
-    for (const char* name :
-         {"plan_traces_total", "plan_replays_total",
-          "plan_backward_replays_total",
-          "plan_invalidations_kernel_table_total",
-          "plan_invalidations_stale_params_total",
-          "plan_invalidations_incomplete_capture_total"}) {
-      std::fprintf(stderr, "  %-44s %lld\n", name,
-                   static_cast<long long>(reg.GetCounter(name)->Value()));
-    }
-  }
 
   if (!args.trace_out.empty()) {
     if (!obs::WriteChromeTrace(args.trace_out)) {

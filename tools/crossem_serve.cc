@@ -9,7 +9,7 @@
 //       [--prompt hard|soft|baseline] [--seed N]
 //     Encodes every image with the frozen model and writes the
 //     embedding index (CEMCKPT2, CRC-checked, atomic). --quant stores
-//     rows block-quantized (DESIGN.md §17): scans score on compressed
+//     rows block-quantized (DESIGN.md §16): scans score on compressed
 //     rows, then the top --rerank-k candidates are re-ranked against an
 //     exact f32 side file ("<index>.f32rank") before the final top-k.
 //
@@ -38,7 +38,7 @@
 //       [--k N] [--patch-dim D] [--max-patches P]
 //     Serves /v1/match, /healthz, /metrics, /metrics/history,
 //     /debug/tracez, and /admin/snapshot over HTTP/1.1 (DESIGN.md
-//     §15-16): per-tenant token-bucket quotas keyed by the x-tenant
+//     §14-15): per-tenant token-bucket quotas keyed by the x-tenant
 //     header, a global concurrency limiter, deadlines from
 //     x-deadline-ms, request tracing (traceparent / x-request-id
 //     adopted and echoed), a time-series flight recorder
