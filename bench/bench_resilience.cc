@@ -30,6 +30,7 @@
 #include "serve/index.h"
 #include "serve/service.h"
 #include "serve/sharded.h"
+#include "serve/snapshot.h"
 #include "text/tokenizer.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
@@ -99,8 +100,8 @@ struct Arm {
   int64_t retries = 0;
 };
 
-serve::ShardedServiceOptions ArmOptions(const std::string& name) {
-  serve::ShardedServiceOptions o;
+serve::EngineOptions ArmOptions(const std::string& name) {
+  serve::EngineOptions o;
   o.base.max_wait_micros = 0;  // lone caller: no batching
   if (name == "blackhole") {
     o.resilience.attempt_timeout_micros = 10000;
@@ -137,8 +138,9 @@ Arm RunArm(const std::string& name, const World& w,
            const serve::ShardedIndex& sharded, int64_t rounds) {
   std::printf("== arm: %s ==\n", name.c_str());
   ArmFaults(name);
-  serve::ShardedMatchService service(w.matcher.get(), &sharded,
-                                     ArmOptions(name));
+  const serve::EngineOptions options = ArmOptions(name);
+  serve::MatchService service(w.matcher.get(), &sharded, options.base,
+                              options.resilience);
   const auto& entities = w.dataset.entities;
 
   // Warmup: one pass fills the embedding cache; for the blackhole arm,

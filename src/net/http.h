@@ -152,8 +152,8 @@ class HttpParser {
 
 // -- Serving-layer status mapping -------------------------------------------
 
-/// Extracts the "retry after <n>us" drain hint the MatchService /
-/// ShardedMatchService queue-full rejection embeds in its message.
+/// Extracts the "retry after <n>us" drain hint the MatchService
+/// queue-full rejection embeds in its message.
 /// Returns -1 when the message carries no hint.
 int64_t ParseRetryAfterMicros(const std::string& message);
 

@@ -8,7 +8,7 @@
 //                          from x-deadline-ms. Degraded (partial-
 //                          coverage) answers are HTTP 206 with the
 //                          coverage / degraded fields set, mirroring
-//                          the ShardedMatchService contract.
+//                          the sharded MatchService contract.
 //   GET  /healthz        — liveness + live snapshot version.
 //   GET  /metrics        — the process-wide obs registry; Prometheus
 //                          text by default, obs::ExportJson when the

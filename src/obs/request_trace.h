@@ -3,9 +3,9 @@
 // A RequestTrace is minted (or adopted from an incoming `traceparent` /
 // `x-request-id` header) at HTTP ingress and rides through the engine as
 // a shared_ptr on serve::MatchRequest: admission, snapshot leases, the
-// batched MatchService, and every ShardedMatchService shard attempt
-// (retries, hedges, breaker skips) record child spans into it. The
-// result is one connected span tree per request, retrievable from
+// batched MatchService, and every shard attempt of its scatter-gather
+// back end (retries, hedges, breaker skips) record child spans into it.
+// The result is one connected span tree per request, retrievable from
 // /debug/tracez and — when the process-wide Chrome tracer is enabled —
 // mirrored into the Perfetto export with trace/span/parent ids.
 //

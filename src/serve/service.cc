@@ -28,10 +28,15 @@ int64_t MicrosBetween(std::chrono::steady_clock::time_point from,
       .count();
 }
 
-}  // namespace
+/// Nearest images retrieved per query for the probability softmax
+/// (raised to the request's k; a back end returns at most its size).
+constexpr int64_t kProbabilityCandidates = 64;
 
-namespace internal {
-
+/// The scoring tail: Eq. 4 softmax at `temperature` over the retrieved
+/// candidate list `found` (best first, global row ids), keeping the top
+/// `k` above `min_probability`. Both back ends feed it, so a sharded
+/// merge that reproduces `found` bitwise also reproduces the
+/// probabilities bitwise.
 void AppendRankedMatches(const std::vector<eval::ScoredId>& found,
                          const std::vector<std::string>& ids, int64_t k,
                          float min_probability, float temperature,
@@ -61,13 +66,29 @@ void AppendRankedMatches(const std::vector<eval::ScoredId>& found,
   }
 }
 
-}  // namespace internal
+}  // namespace
 
 MatchService::MatchService(const core::CrossEm* matcher,
                            const EmbeddingIndex* index,
                            MatchServiceOptions options)
+    : MatchService(matcher, index, nullptr, std::move(options)) {}
+
+MatchService::MatchService(const core::CrossEm* matcher,
+                           const ShardedIndex* index,
+                           MatchServiceOptions options,
+                           ResilienceOptions resilience)
+    : MatchService(matcher, nullptr,
+                   std::make_unique<ScatterGather>(index,
+                                                   std::move(resilience)),
+                   std::move(options)) {}
+
+MatchService::MatchService(const core::CrossEm* matcher,
+                           const EmbeddingIndex* index,
+                           std::unique_ptr<ScatterGather> scatter,
+                           MatchServiceOptions options)
     : matcher_(matcher),
       index_(index),
+      scatter_(std::move(scatter)),
       options_(std::move(options)),
       fingerprint_(matcher->EncoderFingerprint()),
       temperature_(matcher->Temperature()),
@@ -151,7 +172,9 @@ void MatchService::Shutdown() {
     }
   }
   cv_.notify_all();
-  if (join_here) worker_.join();
+  if (!join_here) return;
+  worker_.join();
+  if (scatter_ != nullptr) scatter_->Shutdown();
 }
 
 void MatchService::WorkerLoop() {
@@ -202,9 +225,11 @@ void MatchService::ProcessBatch(std::vector<Pending> batch) {
   span.Arg("requests", static_cast<int64_t>(batch.size()));
   const int64_t batch_size = static_cast<int64_t>(batch.size());
   // Per-request engine span: covers queue wait + batch processing, from
-  // submit to resolution, so the request tree shows where time went.
+  // submit to resolution, so the request tree shows where time went. A
+  // sharded search pre-mints `span_id` so the gather can parent onto it
+  // before the span itself is recorded; 0 mints one here.
   auto record_span = [batch_size](const Pending& p, const char* outcome,
-                                  bool cache_hit) {
+                                  bool cache_hit, uint64_t span_id = 0) {
     if (p.request.trace == nullptr) return;
     const uint64_t start_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -219,7 +244,8 @@ void MatchService::ProcessBatch(std::vector<Pending> batch) {
     args[1].int_value = batch_size;
     args[2].key = "cache_hit";
     args[2].int_value = cache_hit ? 1 : 0;
-    p.request.trace->Record("service", obs::MintSpanId(),
+    p.request.trace->Record("service",
+                            span_id != 0 ? span_id : obs::MintSpanId(),
                             p.request.parent_span_id, start_ns,
                             end_ns > start_ns ? end_ns - start_ns : 0,
                             std::move(args));
@@ -266,14 +292,18 @@ void MatchService::ProcessBatch(std::vector<Pending> batch) {
   }
   stats_.RecordBatch(static_cast<int64_t>(live.size()), hits, misses);
 
+  const std::vector<std::string>& ids =
+      scatter_ != nullptr ? scatter_->index().ids() : index_->ids();
   if (!to_encode.empty()) {
     NoGradGuard guard;
     Tensor encoded = matcher_->EncodeVertices(to_encode);  // [n, dim]
     const int64_t dim = encoded.size(1);
-    if (index_->size() > 0 && dim != index_->dim()) {
+    const int64_t index_dim =
+        scatter_ != nullptr ? scatter_->index().dim() : index_->dim();
+    if (!ids.empty() && dim != index_dim) {
       Status mismatch = Status::Internal(
           "encoder dim " + std::to_string(dim) + " != index dim " +
-          std::to_string(index_->dim()) +
+          std::to_string(index_dim) +
           " (index built from a different model?)");
       for (Pending& p : live) {
         record_span(p, "dim_mismatch", false);
@@ -303,22 +333,29 @@ void MatchService::ProcessBatch(std::vector<Pending> batch) {
     }
 
     const int64_t candidates =
-        std::max(p.request.k, options_.probability_candidates);
-    // The remaining budget rides into the scan so a nearly-expired
-    // query early-exits instead of burning the full repository.
-    const SearchDeadline search_deadline =
-        p.deadline == Clock::time_point::max() ? kNoSearchDeadline
-                                               : p.deadline;
-    std::vector<eval::ScoredId> found =
-        index_->Search(embeddings[i].data(), candidates, search_deadline);
-
+        std::max(p.request.k, kProbabilityCandidates);
     MatchResponse response;
     response.cache_hit = cached[i];
-    internal::AppendRankedMatches(found, index_->ids(), p.request.k,
-                                  p.request.min_probability, temperature_,
-                                  &response.matches);
+    const uint64_t span_id =
+        p.request.trace != nullptr ? obs::MintSpanId() : 0;
+    std::vector<eval::ScoredId> found;
+    if (scatter_ == nullptr) {
+      // The remaining budget rides into the scan so a nearly-expired
+      // query early-exits instead of burning the full repository.
+      found = index_->Search(embeddings[i].data(), candidates, p.deadline);
+    } else {
+      ScatterGather::Gathered gathered =
+          scatter_->Search(std::move(embeddings[i]), candidates, p.deadline,
+                           p.request.trace, span_id);
+      found = std::move(gathered.found);
+      response.coverage = gathered.coverage;
+      response.degraded = gathered.coverage < 1.0;
+    }
+    AppendRankedMatches(found, ids, p.request.k, p.request.min_probability,
+                        temperature_, &response.matches);
     stats_.RecordCompleted(MicrosBetween(p.submitted, Clock::now()));
-    record_span(p, "ok", cached[i]);
+    record_span(p, response.degraded ? "degraded" : "ok", cached[i],
+                span_id);
     p.promise.set_value(std::move(response));
   }
 }

@@ -9,6 +9,12 @@
 // tower's per-call overhead amortizes across the batch — and the wait
 // deadline caps the latency cost of waiting for peers.
 //
+// The back end is fixed at construction. Over an EmbeddingIndex the
+// worker searches inline. Over a ShardedIndex it hands each query to a
+// ScatterGather (serve/sharded.h), which fans it out to the shards under
+// retries, hedging and per-shard breakers and reports the coverage; the
+// response is then partial (degraded) instead of failed when shards are.
+//
 // Admission control:
 //   * queue full         -> Status::Unavailable at Submit time
 //                           (backpressure: the caller sheds or retries)
@@ -19,12 +25,13 @@
 //                           request, then joins the worker (graceful).
 //
 // Results carry matching probabilities from the Eq. 4 softmax applied
-// over the `probability_candidates` nearest images retrieved for the
-// query (at the model's temperature tau). Over a flat index with
-// candidates >= index size this is exactly Eq. 4; over HNSW (or a
-// trimmed candidate set) it is the standard retrieve-then-normalize
-// approximation, identical policy for both backends so swapping the
-// backend never changes probability semantics.
+// over the kProbabilityCandidates (service.cc) nearest images retrieved
+// for the query, or k if larger, at the model's temperature tau. Over a
+// flat index with candidates >= index size this is exactly Eq. 4; over
+// HNSW (or a trimmed candidate set) it is the standard
+// retrieve-then-normalize approximation, identical policy for every
+// back end so swapping the back end never changes probability
+// semantics.
 #ifndef CROSSEM_SERVE_SERVICE_H_
 #define CROSSEM_SERVE_SERVICE_H_
 
@@ -44,6 +51,7 @@
 #include "obs/request_trace.h"
 #include "serve/cache.h"
 #include "serve/index.h"
+#include "serve/sharded.h"
 #include "serve/stats.h"
 #include "util/status.h"
 
@@ -67,9 +75,6 @@ struct MatchServiceOptions {
   /// Storage format of cached embeddings (quantized entries pack 2-3.5x
   /// more vertices into the same bytes; dequantized on hit).
   quant::QuantFormat cache_format = quant::QuantFormat::kF32;
-  /// Nearest images retrieved per query for the probability softmax
-  /// (clamped up to the request's k and down to the index size).
-  int64_t probability_candidates = 64;
 };
 
 /// The embedding-cache configuration a MatchServiceOptions implies.
@@ -109,34 +114,24 @@ struct MatchResponse {
   /// True when the vertex embedding came from the cache.
   bool cache_hit = false;
   /// Row-weighted fraction of the repository actually searched. Always
-  /// 1.0 from MatchService; ShardedMatchService lowers it when shards
+  /// 1.0 over a local index; the sharded back end lowers it when shards
   /// are skipped, down, or out of time — the query still succeeds.
   double coverage = 1.0;
   /// True iff coverage < 1.0 (the explicit partial-result flag).
   bool degraded = false;
 };
 
-namespace internal {
-
-/// The shared scoring tail of both services: Eq. 4 softmax at
-/// `temperature` over the retrieved candidate list `found` (best first,
-/// global row ids), keeping the top `k` above `min_probability`.
-/// Identical arithmetic order whichever service runs it, so a sharded
-/// merge that reproduces `found` bitwise also reproduces the
-/// probabilities bitwise.
-void AppendRankedMatches(const std::vector<eval::ScoredId>& found,
-                         const std::vector<std::string>& ids, int64_t k,
-                         float min_probability, float temperature,
-                         std::vector<RankedMatch>* out);
-
-}  // namespace internal
-
 class MatchService {
  public:
-  /// `matcher` and `index` are borrowed and must outlive the service.
-  /// The worker thread starts immediately.
+  /// Local back end: the worker searches `index` inline. `matcher` and
+  /// `index` are borrowed and must outlive the service. The worker
+  /// thread starts immediately.
   MatchService(const core::CrossEm* matcher, const EmbeddingIndex* index,
                MatchServiceOptions options);
+  /// Sharded back end: the worker scatters each query across `index`'s
+  /// shards through a ScatterGather, and responses carry its coverage.
+  MatchService(const core::CrossEm* matcher, const ShardedIndex* index,
+               MatchServiceOptions options, ResilienceOptions resilience);
   ~MatchService();  // implies Shutdown()
 
   MatchService(const MatchService&) = delete;
@@ -150,12 +145,21 @@ class MatchService {
   /// Convenience: Submit and block for the result.
   Result<MatchResponse> Match(const MatchRequest& request);
 
-  /// Stop admitting, drain every queued request, join the worker.
-  /// Idempotent.
+  /// Stop admitting, drain every queued request, join the worker (and
+  /// the shard workers of a sharded back end). Idempotent.
   void Shutdown();
 
   ServiceStats Snapshot() const { return stats_.Snapshot(); }
   const EmbeddingCache& cache() const { return cache_; }
+  /// Resilience counters of the sharded back end; empty over a local
+  /// index.
+  ResilienceStats ResilienceSnapshot() const {
+    return scatter_ != nullptr ? scatter_->Snapshot() : ResilienceStats{};
+  }
+  /// Breaker state of one shard; the back end must be sharded.
+  CircuitBreaker::State breaker_state(int64_t shard) const {
+    return scatter_->breaker_state(shard);
+  }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -167,11 +171,17 @@ class MatchService {
     Clock::time_point deadline;  // time_point::max() when none
   };
 
+  MatchService(const core::CrossEm* matcher, const EmbeddingIndex* index,
+               std::unique_ptr<ScatterGather> scatter,
+               MatchServiceOptions options);
+
   void WorkerLoop();
   void ProcessBatch(std::vector<Pending> batch);
 
   const core::CrossEm* matcher_;
+  // The back end: exactly one of these is set.
   const EmbeddingIndex* index_;
+  std::unique_ptr<ScatterGather> scatter_;
   const MatchServiceOptions options_;
   const uint32_t fingerprint_;   // encoder fingerprint at construction
   const float temperature_;      // tau at construction

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/trace.h"
-#include "tensor/tensor.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 
@@ -16,14 +14,6 @@ namespace crossem {
 namespace serve {
 
 namespace {
-
-/// Immediately-resolved future for admission-time rejections.
-std::future<Result<MatchResponse>> RejectedFuture(Status status) {
-  std::promise<Result<MatchResponse>> promise;
-  std::future<Result<MatchResponse>> future = promise.get_future();
-  promise.set_value(std::move(status));
-  return future;
-}
 
 int64_t MicrosBetween(std::chrono::steady_clock::time_point from,
                       std::chrono::steady_clock::time_point to) {
@@ -39,6 +29,36 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+/// Row -> shard hash seed (part of the sharding identity).
+constexpr uint64_t kShardHashSeed = 0x5eed0;
+
+/// Bounded per-shard task queue; a full queue fails the attempt
+/// immediately (breaker food) instead of blocking the gather.
+constexpr int64_t kShardQueue = 128;
+
+/// Search threads per shard: two let a hedge overtake a slow or stuck
+/// primary on the same shard.
+constexpr int64_t kWorkersPerShard = 2;
+
+/// Exponential backoff between attempts: min(max, base << (n-1)) plus
+/// deterministic jitter in [0, base) hashed from kJitterSeed, so a chaos
+/// drill's backoff schedule is reproducible.
+constexpr int64_t kBackoffBaseMicros = 2000;
+constexpr int64_t kBackoffMaxMicros = 20000;
+constexpr uint64_t kJitterSeed = 0x7edbeef;
+
+int64_t BackoffMicros(int64_t query_seq, int64_t shard, int64_t attempt) {
+  const int64_t shift = std::min<int64_t>(attempt - 1, 20);
+  const int64_t base =
+      std::min(kBackoffMaxMicros, kBackoffBaseMicros << shift);
+  const uint64_t h = SplitMix64(
+      kJitterSeed ^ (static_cast<uint64_t>(query_seq) << 20) ^
+      (static_cast<uint64_t>(shard) << 8) ^ static_cast<uint64_t>(attempt));
+  const int64_t jitter = static_cast<int64_t>(
+      h % static_cast<uint64_t>(kBackoffBaseMicros));
+  return base + jitter;
 }
 
 }  // namespace
@@ -65,7 +85,7 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Partition(
   out->global_rows_.resize(static_cast<size_t>(n_shards));
   for (int64_t r = 0; r < source.size(); ++r) {
     const int64_t s = static_cast<int64_t>(
-        SplitMix64(options.hash_seed ^ static_cast<uint64_t>(r)) %
+        SplitMix64(kShardHashSeed ^ static_cast<uint64_t>(r)) %
         static_cast<uint64_t>(n_shards));
     out->global_rows_[static_cast<size_t>(s)].push_back(r);
   }
@@ -75,7 +95,7 @@ Result<std::unique_ptr<ShardedIndex>> ShardedIndex::Partition(
     if (options.backend == "flat") {
       shard = std::make_unique<FlatIndex>(format);
     } else {
-      shard = std::make_unique<HnswIndex>(options.hnsw, format);
+      shard = std::make_unique<HnswIndex>(HnswOptions{}, format);
     }
     const std::vector<int64_t>& rows = out->global_rows_[s];
     if (!rows.empty()) {
@@ -192,13 +212,13 @@ void CircuitBreaker::RecordFailure(std::chrono::steady_clock::time_point now) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedMatchService
+// ScatterGather
 // ---------------------------------------------------------------------------
 
 /// Per-service resilience instruments (exact snapshot semantics),
 /// double-written into the process-wide `crossem_shard_*` /
 /// `crossem_serve_*` registry aggregates.
-struct ShardedMatchService::ResilienceInstruments {
+struct ScatterGather::ResilienceInstruments {
   obs::Counter shard_calls;
   obs::Counter shard_failures;
   obs::Counter retries;
@@ -238,112 +258,31 @@ struct ShardedMatchService::ResilienceInstruments {
   }
 };
 
-ShardedMatchService::ShardedMatchService(const core::CrossEm* matcher,
-                                         const ShardedIndex* index,
-                                         ShardedServiceOptions options)
-    : matcher_(matcher),
-      index_(index),
+ScatterGather::ScatterGather(const ShardedIndex* index,
+                             ResilienceOptions options)
+    : index_(index),
       options_(std::move(options)),
-      fingerprint_(matcher->EncoderFingerprint()),
-      temperature_(matcher->Temperature()),
-      cache_(CacheOptionsFor(options_.base)),
       res_(std::make_unique<ResilienceInstruments>()) {
-  CROSSEM_CHECK_GE(options_.resilience.max_attempts, 1);
-  CROSSEM_CHECK_GE(options_.resilience.workers_per_shard, 1);
+  CROSSEM_CHECK_GE(options_.max_attempts, 1);
   const int64_t n = index_->num_shards();
   for (int64_t s = 0; s < n; ++s) {
     breakers_.push_back(std::make_unique<CircuitBreaker>(
-        options_.resilience.breaker_failure_threshold,
-        options_.resilience.breaker_cooldown_micros));
+        options_.breaker_failure_threshold, options_.breaker_cooldown_micros));
     shards_.push_back(std::make_unique<ShardRuntime>());
   }
   for (int64_t s = 0; s < n; ++s) {
-    for (int64_t w = 0; w < options_.resilience.workers_per_shard; ++w) {
+    for (int64_t w = 0; w < kWorkersPerShard; ++w) {
       shards_[s]->workers.emplace_back([this, s] { ShardWorkerLoop(s); });
     }
   }
-  coordinator_ = std::thread([this] { CoordinatorLoop(); });
 }
 
-ShardedMatchService::~ShardedMatchService() { Shutdown(); }
+ScatterGather::~ScatterGather() { Shutdown(); }
 
-std::future<Result<MatchResponse>> ShardedMatchService::Submit(
-    const MatchRequest& request) {
-  if (request.k < 1) {
-    return RejectedFuture(
-        Status::InvalidArgument("MatchRequest.k must be >= 1"));
-  }
-  if (request.vertex < 0 ||
-      request.vertex >= matcher_->graph().NumVertices()) {
-    return RejectedFuture(Status::InvalidArgument(
-        "MatchRequest.vertex " + std::to_string(request.vertex) +
-        " out of range [0, " +
-        std::to_string(matcher_->graph().NumVertices()) + ")"));
-  }
-
-  Pending pending;
-  pending.request = request;
-  pending.submitted = Clock::now();
-  pending.deadline =
-      request.deadline_micros > 0
-          ? pending.submitted +
-                std::chrono::microseconds(request.deadline_micros)
-          : Clock::time_point::max();
-  std::future<Result<MatchResponse>> future = pending.promise.get_future();
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      stats_.RecordRejectedShutdown();
-      pending.promise.set_value(
-          Status::Unavailable("ShardedMatchService is shut down"));
-      return future;
-    }
-    if (static_cast<int64_t>(queue_.size()) >= options_.base.max_queue) {
-      stats_.RecordRejectedQueueFull();
-      // Same drain hint as MatchService, clamped to the request's own
-      // deadline (a later retry could never be served in time).
-      int64_t retry_after_us = std::max<int64_t>(
-          stats_.LatencyP50Us(), options_.base.max_wait_micros);
-      if (request.deadline_micros > 0) {
-        retry_after_us =
-            std::min(retry_after_us, request.deadline_micros);
-      }
-      pending.promise.set_value(Status::Unavailable(
-          "ShardedMatchService queue full (" +
-          std::to_string(queue_.size()) + " of " +
-          std::to_string(options_.base.max_queue) +
-          " pending); retry after " + std::to_string(retry_after_us) +
-          "us"));
-      return future;
-    }
-    stats_.RecordReceived();
-    queue_.push_back(std::move(pending));
-  }
-  cv_.notify_one();
-  return future;
-}
-
-Result<MatchResponse> ShardedMatchService::Match(const MatchRequest& request) {
-  return Submit(request).get();
-}
-
-void ShardedMatchService::Shutdown() {
-  bool join_here = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-    if (!joined_) {
-      joined_ = true;
-      join_here = true;
-    }
-  }
-  cv_.notify_all();
-  if (!join_here) return;
-  coordinator_.join();
-  // With the coordinator gone every call still queued is abandoned;
+void ScatterGather::Shutdown() {
+  // No Search is running, so every call still queued is abandoned;
   // workers drain and discard them, then exit.
-  shard_shutdown_.store(true, std::memory_order_relaxed);
+  shutdown_.store(true, std::memory_order_relaxed);
   for (std::unique_ptr<ShardRuntime>& rt : shards_) {
     {
       std::lock_guard<std::mutex> lock(rt->mu);
@@ -356,177 +295,11 @@ void ShardedMatchService::Shutdown() {
   }
 }
 
-void ShardedMatchService::CoordinatorLoop() {
-  obs::SetThreadName("serve-coordinator");
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutdown_) return;  // drained
-      continue;
-    }
-
-    // Adaptive batch fill, exactly MatchService's policy: hold the
-    // oldest request up to max_wait_micros, never past the earliest
-    // queued deadline, not at all once shutdown starts.
-    if (!shutdown_ &&
-        static_cast<int64_t>(queue_.size()) < options_.base.max_batch &&
-        options_.base.max_wait_micros > 0) {
-      Clock::time_point fill_deadline =
-          queue_.front().submitted +
-          std::chrono::microseconds(options_.base.max_wait_micros);
-      for (const Pending& p : queue_) {
-        fill_deadline = std::min(fill_deadline, p.deadline);
-      }
-      cv_.wait_until(lock, fill_deadline, [&] {
-        return shutdown_ || static_cast<int64_t>(queue_.size()) >=
-                                options_.base.max_batch;
-      });
-    }
-
-    std::vector<Pending> batch;
-    const int64_t take = std::min<int64_t>(
-        static_cast<int64_t>(queue_.size()), options_.base.max_batch);
-    batch.reserve(take);
-    for (int64_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-
-    lock.unlock();
-    ProcessBatch(std::move(batch));
-    lock.lock();
-  }
-}
-
-void ShardedMatchService::ProcessBatch(std::vector<Pending> batch) {
-  CROSSEM_TRACE_SPAN_V(span, "sharded_serve_batch");
-  span.Arg("requests", static_cast<int64_t>(batch.size()));
-  const int64_t batch_size = static_cast<int64_t>(batch.size());
-  // Per-request engine span from submit to resolution; `span_id` lets
-  // the caller pre-mint the id so gather/attempt children can parent
-  // onto it before the span itself is recorded.
-  auto record_span = [batch_size](const Pending& p, uint64_t span_id,
-                                  const char* outcome, bool cache_hit) {
-    if (p.request.trace == nullptr) return;
-    const uint64_t start_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            p.submitted.time_since_epoch())
-            .count());
-    const uint64_t end_ns = obs::RequestNowNs();
-    std::vector<obs::SpanArg> args(3);
-    args[0].key = "outcome";
-    args[0].type = obs::SpanArg::Type::kString;
-    args[0].string_value = outcome;
-    args[1].key = "batch";
-    args[1].int_value = batch_size;
-    args[2].key = "cache_hit";
-    args[2].int_value = cache_hit ? 1 : 0;
-    p.request.trace->Record("service", span_id, p.request.parent_span_id,
-                            start_ns,
-                            end_ns > start_ns ? end_ns - start_ns : 0,
-                            std::move(args));
-  };
-  // Expire requests that aged out while queued.
-  const Clock::time_point dequeued = Clock::now();
-  std::vector<Pending> live;
-  live.reserve(batch.size());
-  for (Pending& p : batch) {
-    if (p.deadline <= dequeued) {
-      stats_.RecordExpired();
-      record_span(p, obs::MintSpanId(), "expired_in_queue", false);
-      p.promise.set_value(Status::DeadlineExceeded(
-          "request expired after " +
-          std::to_string(MicrosBetween(p.submitted, dequeued)) +
-          "us in queue"));
-    } else {
-      live.push_back(std::move(p));
-    }
-  }
-  if (live.empty()) return;
-
-  // Resolve embeddings: cache first, then one EncodeVertices forward
-  // over the distinct uncached vertices of the batch.
-  std::vector<std::vector<float>> embeddings(live.size());
-  std::vector<bool> cached(live.size(), false);
-  std::vector<graph::VertexId> to_encode;
-  std::unordered_map<graph::VertexId, int64_t> encode_row;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  for (size_t i = 0; i < live.size(); ++i) {
-    const graph::VertexId v = live[i].request.vertex;
-    if (cache_.Lookup(v, fingerprint_, &embeddings[i])) {
-      cached[i] = true;
-      ++hits;
-    } else {
-      ++misses;
-      if (encode_row.find(v) == encode_row.end()) {
-        encode_row.emplace(v, static_cast<int64_t>(to_encode.size()));
-        to_encode.push_back(v);
-      }
-    }
-  }
-  stats_.RecordBatch(static_cast<int64_t>(live.size()), hits, misses);
-
-  if (!to_encode.empty()) {
-    NoGradGuard guard;
-    Tensor encoded = matcher_->EncodeVertices(to_encode);  // [n, dim]
-    const int64_t dim = encoded.size(1);
-    if (index_->size() > 0 && dim != index_->dim()) {
-      Status mismatch = Status::Internal(
-          "encoder dim " + std::to_string(dim) + " != index dim " +
-          std::to_string(index_->dim()) +
-          " (index built from a different model?)");
-      for (Pending& p : live) {
-        record_span(p, obs::MintSpanId(), "dim_mismatch", false);
-        p.promise.set_value(mismatch);
-      }
-      return;
-    }
-    const float* data = encoded.data();
-    for (size_t i = 0; i < live.size(); ++i) {
-      if (cached[i]) continue;
-      const int64_t row = encode_row.at(live[i].request.vertex);
-      embeddings[i].assign(data + row * dim, data + (row + 1) * dim);
-      cache_.Insert(live[i].request.vertex, fingerprint_, embeddings[i]);
-    }
-  }
-
-  // Scatter-gather each live request across the shards.
-  for (size_t i = 0; i < live.size(); ++i) {
-    Pending& p = live[i];
-    if (p.deadline <= Clock::now()) {
-      stats_.RecordExpired();
-      record_span(p, obs::MintSpanId(), "expired_in_batch", cached[i]);
-      p.promise.set_value(Status::DeadlineExceeded(
-          "request expired during batch processing"));
-      continue;
-    }
-    const int64_t candidates =
-        std::max(p.request.k, options_.base.probability_candidates);
-    auto query = std::make_shared<const std::vector<float>>(
-        std::move(embeddings[i]));
-    MatchResponse response;
-    response.cache_hit = cached[i];
-    const uint64_t service_span_id =
-        p.request.trace != nullptr ? obs::MintSpanId() : 0;
-    Gather(query, candidates,
-           query_seq_.fetch_add(1, std::memory_order_relaxed), p.deadline,
-           p.request.k, p.request.min_probability, p.request.trace,
-           service_span_id, &response);
-    stats_.RecordCompleted(MicrosBetween(p.submitted, Clock::now()));
-    record_span(p, service_span_id, response.degraded ? "degraded" : "ok",
-                cached[i]);
-    p.promise.set_value(std::move(response));
-  }
-}
-
-bool ShardedMatchService::Dispatch(const std::shared_ptr<ShardCall>& call) {
+bool ScatterGather::Dispatch(const std::shared_ptr<ShardCall>& call) {
   ShardRuntime& rt = *shards_[call->shard];
   {
     std::lock_guard<std::mutex> lock(rt.mu);
-    if (static_cast<int64_t>(rt.queue.size()) >=
-        options_.resilience.shard_queue) {
+    if (static_cast<int64_t>(rt.queue.size()) >= kShardQueue) {
       return false;  // full queue fails the attempt fast (breaker food)
     }
     rt.queue.push_back(call);
@@ -535,37 +308,24 @@ bool ShardedMatchService::Dispatch(const std::shared_ptr<ShardCall>& call) {
   return true;
 }
 
-int64_t ShardedMatchService::HedgeDelayMicros(int64_t shard) const {
+int64_t ScatterGather::HedgeDelayMicros(int64_t shard) const {
   const obs::Histogram& h = shards_[shard]->latency_us;
-  if (h.count() >= options_.resilience.hedge_min_samples) {
+  if (h.count() >= options_.hedge_min_samples) {
     return std::max<int64_t>(1, h.Percentile(0.95));
   }
-  return options_.resilience.hedge_delay_micros;
+  return options_.hedge_delay_micros;
 }
 
-int64_t ShardedMatchService::BackoffMicros(int64_t query_seq, int64_t shard,
-                                           int64_t attempt) const {
-  const ResilienceOptions& r = options_.resilience;
-  const int64_t shift = std::min<int64_t>(attempt - 1, 20);
-  const int64_t base =
-      std::min(r.backoff_max_micros, r.backoff_base_micros << shift);
-  const uint64_t h = SplitMix64(
-      r.jitter_seed ^ (static_cast<uint64_t>(query_seq) << 20) ^
-      (static_cast<uint64_t>(shard) << 8) ^ static_cast<uint64_t>(attempt));
-  const int64_t jitter = static_cast<int64_t>(
-      h % static_cast<uint64_t>(std::max<int64_t>(1, r.backoff_base_micros)));
-  return base + jitter;
-}
-
-void ShardedMatchService::Gather(
-    const std::shared_ptr<const std::vector<float>>& query,
-    int64_t candidates, int64_t query_seq, Clock::time_point request_deadline,
-    int64_t k, float min_probability,
-    const std::shared_ptr<obs::RequestTrace>& trace, uint64_t parent_span_id,
-    MatchResponse* response) {
+ScatterGather::Gathered ScatterGather::Search(
+    std::vector<float> query_vector, int64_t candidates,
+    Clock::time_point request_deadline,
+    const std::shared_ptr<obs::RequestTrace>& trace,
+    uint64_t parent_span_id) {
   CROSSEM_TRACE_SPAN_V(span, "sharded_gather");
-  const ResilienceOptions& res = options_.resilience;
   const int64_t n_shards = index_->num_shards();
+  const int64_t query_seq = query_seq_++;
+  auto query =
+      std::make_shared<const std::vector<float>>(std::move(query_vector));
   auto gather = std::make_shared<GatherState>();
 
   // The gather span parents every shard attempt of this query; the
@@ -659,7 +419,7 @@ void ShardedMatchService::Gather(
     call->shard = s;
     call->k = candidates;
     call->deadline = std::min(
-        now + std::chrono::microseconds(res.attempt_timeout_micros),
+        now + std::chrono::microseconds(options_.attempt_timeout_micros),
         request_deadline);
     call->is_hedge = is_hedge;
     if (trace != nullptr) {
@@ -703,7 +463,7 @@ void ShardedMatchService::Gather(
       PerShard& st = ps[static_cast<size_t>(s)];
       if (st.resolved) continue;
       if (st.inflight.empty()) {
-        if (st.attempts >= res.max_attempts || now >= request_deadline) {
+        if (st.attempts >= options_.max_attempts || now >= request_deadline) {
           resolve(s, false, {});
           continue;
         }
@@ -732,7 +492,7 @@ void ShardedMatchService::Gather(
               now + std::chrono::microseconds(
                         BackoffMicros(query_seq, s, st.attempts));
         }
-      } else if (res.hedging && !st.hedged && st.inflight.size() == 1 &&
+      } else if (options_.hedging && !st.hedged && st.inflight.size() == 1 &&
                  !st.inflight.front()->is_hedge && now >= st.hedge_at) {
         st.hedged = true;  // one hedge per shard per query, admitted or not
         if (breakers_[s]->AllowRequest(now)) {
@@ -753,7 +513,7 @@ void ShardedMatchService::Gather(
         for (const std::shared_ptr<ShardCall>& c : st.inflight) {
           wake = std::min(wake, c->deadline);
         }
-        if (res.hedging && !st.hedged && st.inflight.size() == 1) {
+        if (options_.hedging && !st.hedged && st.inflight.size() == 1) {
           wake = std::min(wake, st.hedge_at);
         }
       }
@@ -842,7 +602,7 @@ void ShardedMatchService::Gather(
       }
       record_failure(o.shard, onow, /*corrupt=*/o.ok && !o.timed_out);
       if (st.inflight.empty()) {
-        if (st.attempts >= res.max_attempts || onow >= request_deadline) {
+        if (st.attempts >= options_.max_attempts || onow >= request_deadline) {
           resolve(o.shard, false, {});
         } else {
           st.next_attempt_at =
@@ -866,30 +626,28 @@ void ShardedMatchService::Gather(
     parts.push_back(std::move(st.results));
   }
   const int64_t total_rows = index_->size();
-  response->coverage =
+  Gathered out;
+  out.coverage =
       total_rows == 0
           ? 1.0
           : static_cast<double>(covered_rows) / static_cast<double>(total_rows);
-  response->degraded = covered_rows < total_rows;
-  if (response->degraded) {
+  const bool degraded = covered_rows < total_rows;
+  if (degraded) {
     res_->degraded_responses.Increment();
     res_->g_degraded->Increment();
   }
-  res_->g_coverage_percent->Record(
-      static_cast<int64_t>(response->coverage * 100.0 + 0.5));
-  span.Arg("coverage_pct",
-           static_cast<int64_t>(response->coverage * 100.0 + 0.5));
-  gather_span
-      .Arg("coverage_pct",
-           static_cast<int64_t>(response->coverage * 100.0 + 0.5))
-      .Arg("degraded", int64_t{response->degraded ? 1 : 0});
+  const int64_t coverage_pct =
+      static_cast<int64_t>(out.coverage * 100.0 + 0.5);
+  res_->g_coverage_percent->Record(coverage_pct);
+  span.Arg("coverage_pct", coverage_pct);
+  gather_span.Arg("coverage_pct", coverage_pct)
+      .Arg("degraded", int64_t{degraded ? 1 : 0});
 
-  std::vector<eval::ScoredId> found = eval::MergeTopK(parts, candidates);
-  internal::AppendRankedMatches(found, index_->ids(), k, min_probability,
-                                temperature_, &response->matches);
+  out.found = eval::MergeTopK(parts, candidates);
+  return out;
 }
 
-void ShardedMatchService::ShardWorkerLoop(int64_t shard) {
+void ScatterGather::ShardWorkerLoop(int64_t shard) {
   obs::SetThreadName("shard-worker-" + std::to_string(shard));
   ShardRuntime& rt = *shards_[shard];
   for (;;) {
@@ -897,7 +655,7 @@ void ShardedMatchService::ShardWorkerLoop(int64_t shard) {
     {
       std::unique_lock<std::mutex> lock(rt.mu);
       rt.cv.wait(lock, [&] {
-        return shard_shutdown_.load(std::memory_order_relaxed) ||
+        return shutdown_.load(std::memory_order_relaxed) ||
                !rt.queue.empty();
       });
       if (rt.queue.empty()) return;  // shutdown, drained
@@ -914,7 +672,7 @@ void ShardedMatchService::ShardWorkerLoop(int64_t shard) {
       // Hold this worker hostage until the caller gives up (or the
       // service shuts down) — the stuck-shard drill.
       for (;;) {
-        if (shard_shutdown_.load(std::memory_order_relaxed)) break;
+        if (shutdown_.load(std::memory_order_relaxed)) break;
         {
           std::lock_guard<std::mutex> lock(call->gather->mu);
           if (call->abandoned) break;
@@ -938,7 +696,7 @@ void ShardedMatchService::ShardWorkerLoop(int64_t shard) {
     const Clock::time_point end = Clock::now();
     if (call->trace != nullptr) {
       // The worker-side view of the attempt: actual search time on this
-      // shard, parented under the coordinator's attempt span.
+      // shard, parented under the gather's attempt span.
       const uint64_t search_end_ns = obs::RequestNowNs();
       std::vector<obs::SpanArg> args(1);
       args[0].key = "shard";
@@ -956,7 +714,7 @@ void ShardedMatchService::ShardWorkerLoop(int64_t shard) {
     if (action.mode == fault::ShardFaultMode::kCorrupt) {
       // Deterministic garbage: monotone map keeps the order plausible
       // while the magnitude breaks the |score| <= 1 invariant the
-      // coordinator validates.
+      // gather validates.
       for (eval::ScoredId& r : results) r.score = r.score * 3.0f + 4.0f;
       ok = true;
     }
@@ -974,7 +732,7 @@ void ShardedMatchService::ShardWorkerLoop(int64_t shard) {
   }
 }
 
-ResilienceStats ShardedMatchService::ResilienceSnapshot() const {
+ResilienceStats ScatterGather::Snapshot() const {
   ResilienceStats s;
   s.shard_calls = res_->shard_calls.Value();
   s.shard_failures = res_->shard_failures.Value();

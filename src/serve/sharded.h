@@ -3,24 +3,24 @@
 //
 // A ShardedIndex splits one embedding repository into N independent
 // backends (FlatIndex or HnswIndex each): global row r lands on shard
-// SplitMix64(hash_seed ^ r) % N, and every shard remembers its rows'
-// global ids in ascending order. Because rows are copied verbatim
+// SplitMix64(kShardHashSeed ^ r) % N, and every shard remembers its
+// rows' global ids in ascending order. Because rows are copied verbatim
 // (AddPreNormalized — no re-normalization) and per-shard results map
 // back to ascending global ids, merging per-shard flat top-k lists with
 // eval::MergeTopK reproduces the unsharded flat scan bit for bit: the
 // tie order (score desc, id asc) is the global one.
 //
-// ShardedMatchService is the scatter-gather engine on top. Its front
-// half is MatchService's: bounded queue, micro-batched encoding, the
-// fingerprint-keyed embedding cache. The back half fans each query out
-// to every shard worker and wraps each shard call in:
+// ScatterGather is the back end a MatchService searches through when it
+// serves a ShardedIndex (the front half — queue, micro-batching, the
+// embedding cache, the Eq. 4 tail — is MatchService's own). It fans each
+// query out to every shard's workers and wraps each shard call in:
 //
 //   * deadline propagation — every attempt carries
 //     min(now + attempt_timeout, request deadline); shard searches
 //     early-exit once it passes and late results are never delivered;
 //   * bounded retries — up to max_attempts per shard, exponential
-//     backoff capped at backoff_max plus deterministic SplitMix64
-//     jitter keyed (jitter_seed, query seq, shard, attempt);
+//     backoff capped at 20 ms plus deterministic SplitMix64 jitter keyed
+//     (a fixed seed, query seq, shard, attempt);
 //   * hedging — a duplicate request to the same shard once the primary
 //     outlives the shard's observed p95 latency (a fixed delay until
 //     hedge_min_samples observations exist); first response wins;
@@ -32,12 +32,12 @@
 // Shard responses are validated before they count (scores finite,
 // |score| bounded, order sorted, ids in range) so a corrupt-scores
 // fault is a shard failure, not a wrong answer. Failed or skipped
-// shards degrade the response instead of failing it: MatchResponse
-// carries coverage (row-weighted fraction of the repository actually
-// searched) and a degraded flag, and the query succeeds with whatever
-// the healthy shards returned. Every retry / hedge / breaker /
-// coverage event lands in obs::MetricsRegistry::Default() under
-// crossem_shard_* / crossem_serve_coverage_percent.
+// shards degrade the response instead of failing it: the gather returns
+// the coverage (row-weighted fraction of the repository actually
+// searched) with whatever the healthy shards returned. Every retry /
+// hedge / breaker / coverage event lands in
+// obs::MetricsRegistry::Default() under crossem_shard_* /
+// crossem_serve_coverage_percent.
 #ifndef CROSSEM_SERVE_SHARDED_H_
 #define CROSSEM_SERVE_SHARDED_H_
 
@@ -46,19 +46,15 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/crossem.h"
+#include "obs/metrics.h"
 #include "obs/request_trace.h"
-#include "serve/cache.h"
 #include "serve/index.h"
-#include "serve/service.h"
-#include "serve/stats.h"
 #include "util/status.h"
 
 namespace crossem {
@@ -68,12 +64,8 @@ namespace serve {
 
 struct ShardedIndexOptions {
   int64_t num_shards = 4;
-  /// Backend of every shard: "flat" or "hnsw".
+  /// Backend of every shard: "flat" or "hnsw" (default HnswOptions).
   std::string backend = "flat";
-  /// Row -> shard hash seed (part of the sharding identity).
-  uint64_t hash_seed = 0x5eed0;
-  /// Per-shard construction parameters for the hnsw backend.
-  HnswOptions hnsw;
 };
 
 /// One embedding repository hash-partitioned into independent shards.
@@ -128,7 +120,8 @@ bool ValidateShardResults(const std::vector<eval::ScoredId>& results,
 // -- Circuit breaker ---------------------------------------------------------
 
 /// Per-shard closed/open/half-open breaker. All mutation happens on the
-/// coordinator thread; state() is an atomic snapshot for monitors.
+/// thread running ScatterGather::Search; state() is an atomic snapshot
+/// for monitors.
 class CircuitBreaker {
  public:
   enum class State : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
@@ -168,28 +161,16 @@ class CircuitBreaker {
   std::chrono::steady_clock::time_point opened_at_{};
 };
 
-// -- ShardedMatchService -----------------------------------------------------
+// -- ScatterGather ------------------------------------------------------------
 
 struct ResilienceOptions {
-  /// Bounded per-shard task queue; a full queue fails the attempt
-  /// immediately (breaker food) instead of blocking the coordinator.
-  int64_t shard_queue = 128;
-  /// Search threads per shard. >= 2 lets a hedge overtake a slow or
-  /// stuck primary on the same shard.
-  int64_t workers_per_shard = 2;
   /// Per-attempt time budget; the effective attempt deadline is
   /// min(now + this, request deadline).
   int64_t attempt_timeout_micros = 50000;
   /// Attempts per shard per query (1 = no retries). Hedges don't count.
   int64_t max_attempts = 3;
-  /// Exponential backoff between attempts: min(max, base << (n-1)) plus
-  /// deterministic jitter in [0, base).
-  int64_t backoff_base_micros = 2000;
-  int64_t backoff_max_micros = 20000;
-  /// Jitter hash seed (reproducible chaos drills).
-  uint64_t jitter_seed = 0x7edbeef;
-  /// Hedged second requests: enabled, the coordinator duplicates an
-  /// attempt that outlives the shard's observed p95 latency. Until
+  /// Hedged second requests: enabled, the gather duplicates an attempt
+  /// that outlives the shard's observed p95 latency. Until
   /// hedge_min_samples latencies are recorded the fixed
   /// hedge_delay_micros applies.
   bool hedging = true;
@@ -199,13 +180,6 @@ struct ResilienceOptions {
   /// half-open probe.
   int64_t breaker_failure_threshold = 3;
   int64_t breaker_cooldown_micros = 250000;
-};
-
-struct ShardedServiceOptions {
-  /// Front-end knobs (queue, batching, cache, probability candidates) —
-  /// the same contract as MatchService.
-  MatchServiceOptions base;
-  ResilienceOptions resilience;
 };
 
 /// Counters of the resilience envelope since service start, plus the
@@ -225,43 +199,49 @@ struct ResilienceStats {
   std::string ToString() const;
 };
 
-/// Scatter-gather MatchService over a ShardedIndex. Same request and
-/// admission contract as MatchService; responses additionally carry
-/// coverage/degraded. Queries never fail because shards do.
-class ShardedMatchService {
+/// The sharded back end of a MatchService: owns the shard workers (two
+/// per shard, so a hedge can overtake a stuck primary), one breaker per
+/// shard and the resilience accounting. Search() is called by one
+/// thread at a time — the service's batch worker.
+class ScatterGather {
  public:
-  /// `matcher` and `index` are borrowed and must outlive the service.
-  ShardedMatchService(const core::CrossEm* matcher, const ShardedIndex* index,
-                      ShardedServiceOptions options);
-  ~ShardedMatchService();  // implies Shutdown()
+  using Clock = std::chrono::steady_clock;
 
-  ShardedMatchService(const ShardedMatchService&) = delete;
-  ShardedMatchService& operator=(const ShardedMatchService&) = delete;
+  /// `index` is borrowed and must outlive this object. The shard
+  /// workers start immediately.
+  ScatterGather(const ShardedIndex* index, ResilienceOptions options);
+  ~ScatterGather();  // implies Shutdown()
 
-  std::future<Result<MatchResponse>> Submit(const MatchRequest& request);
-  Result<MatchResponse> Match(const MatchRequest& request);
+  ScatterGather(const ScatterGather&) = delete;
+  ScatterGather& operator=(const ScatterGather&) = delete;
 
-  /// Stop admitting, drain queued requests, join coordinator and shard
-  /// workers. Idempotent.
+  /// What one gather found across the shards that answered in time.
+  struct Gathered {
+    std::vector<eval::ScoredId> found;  // merged top-k, global rows
+    double coverage = 1.0;  // row-weighted share of the index searched
+  };
+
+  /// Scatters `query` to every shard, gathers under the resilience
+  /// envelope until each shard answered, failed or ran out of time by
+  /// `deadline`, and merges the top `k`. Request spans ("gather", then
+  /// "shard_attempt" and "shard_search") parent onto `parent_span_id`.
+  Gathered Search(std::vector<float> query, int64_t k,
+                  Clock::time_point deadline,
+                  const std::shared_ptr<obs::RequestTrace>& trace,
+                  uint64_t parent_span_id);
+
+  /// Joins the shard workers; calls still queued are discarded (no
+  /// gather waits for them once Search has returned). Idempotent, but
+  /// not concurrent with Search.
   void Shutdown();
 
-  ServiceStats Snapshot() const { return stats_.Snapshot(); }
-  ResilienceStats ResilienceSnapshot() const;
-  const EmbeddingCache& cache() const { return cache_; }
+  const ShardedIndex& index() const { return *index_; }
+  ResilienceStats Snapshot() const;
   CircuitBreaker::State breaker_state(int64_t shard) const {
     return breakers_[shard]->state();
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Pending {
-    MatchRequest request;
-    std::promise<Result<MatchResponse>> promise;
-    Clock::time_point submitted;
-    Clock::time_point deadline;  // time_point::max() when none
-  };
-
   /// Per-request gather rendezvous, shared (via shared_ptr) with every
   /// attempt so an abandoned attempt outliving the request stays safe.
   struct GatherState {
@@ -280,7 +260,7 @@ class ShardedMatchService {
     bool is_hedge = false;
 
     // Request-trace identity of this attempt (trace null = untraced).
-    // The worker records its search span under span_id; the coordinator
+    // The worker records its search span under span_id; the gather
     // records the attempt span itself when the outcome is known.
     std::shared_ptr<obs::RequestTrace> trace;
     uint64_t span_id = 0;
@@ -292,7 +272,7 @@ class ShardedMatchService {
     bool ok = false;
     std::vector<eval::ScoredId> results;  // GLOBAL ids
     int64_t latency_us = 0;
-    bool abandoned = false;  // coordinator stopped caring
+    bool abandoned = false;  // the gather stopped caring
   };
 
   struct ShardRuntime {
@@ -304,31 +284,13 @@ class ShardedMatchService {
     obs::Histogram latency_us;
   };
 
-  void CoordinatorLoop();
-  void ProcessBatch(std::vector<Pending> batch);
-  /// Scatter one query across the shards, gather with the resilience
-  /// envelope, and fill matches/coverage/degraded of `response`.
-  void Gather(const std::shared_ptr<const std::vector<float>>& query,
-              int64_t candidates, int64_t query_seq,
-              Clock::time_point request_deadline, int64_t k,
-              float min_probability,
-              const std::shared_ptr<obs::RequestTrace>& trace,
-              uint64_t parent_span_id, MatchResponse* response);
   /// False when the shard queue is full (the attempt fails fast).
   bool Dispatch(const std::shared_ptr<ShardCall>& call);
   void ShardWorkerLoop(int64_t shard);
   int64_t HedgeDelayMicros(int64_t shard) const;
-  int64_t BackoffMicros(int64_t query_seq, int64_t shard,
-                        int64_t attempt) const;
 
-  const core::CrossEm* matcher_;
   const ShardedIndex* index_;
-  const ShardedServiceOptions options_;
-  const uint32_t fingerprint_;
-  const float temperature_;
-
-  EmbeddingCache cache_;
-  StatsCollector stats_;
+  const ResilienceOptions options_;
 
   // Resilience accounting: per-service instruments backing the exact
   // ResilienceStats snapshot, double-written into the process-wide
@@ -338,15 +300,8 @@ class ShardedMatchService {
 
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
   std::vector<std::unique_ptr<ShardRuntime>> shards_;
-  std::atomic<bool> shard_shutdown_{false};
-  std::atomic<int64_t> query_seq_{0};
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  bool shutdown_ = false;
-  bool joined_ = false;
-  std::thread coordinator_;
+  std::atomic<bool> shutdown_{false};
+  int64_t query_seq_ = 0;  // keys the retry jitter; Search's thread only
 };
 
 }  // namespace serve

@@ -42,12 +42,11 @@ struct SnapshotInstruments {
 
 Result<std::unique_ptr<ServingSnapshot>> ServingSnapshot::Create(
     const core::CrossEm* matcher, std::unique_ptr<EmbeddingIndex> index,
-    const EngineOptions& options, int64_t version, std::string source) {
+    const EngineOptions& options, std::string source) {
   if (index == nullptr) {
     return Status::InvalidArgument("ServingSnapshot: null index");
   }
   std::unique_ptr<ServingSnapshot> snap(new ServingSnapshot());
-  snap->version_ = version;
   snap->source_ = std::move(source);
   snap->index_ = std::move(index);
   if (options.shards > 1) {
@@ -57,13 +56,10 @@ Result<std::unique_ptr<ServingSnapshot>> ServingSnapshot::Create(
     auto parts = ShardedIndex::Partition(*snap->index_, io);
     if (!parts.ok()) return parts.status();
     snap->sharded_index_ = parts.MoveValue();
-    ShardedServiceOptions sso;
-    sso.base = options.base;
-    sso.resilience = options.resilience;
-    snap->sharded_service_ = std::make_unique<ShardedMatchService>(
-        matcher, snap->sharded_index_.get(), sso);
+    snap->service_ = std::make_unique<MatchService>(
+        matcher, snap->sharded_index_.get(), options.base, options.resilience);
   } else {
-    snap->single_service_ = std::make_unique<MatchService>(
+    snap->service_ = std::make_unique<MatchService>(
         matcher, snap->index_.get(), options.base);
   }
   return snap;
@@ -72,28 +68,12 @@ Result<std::unique_ptr<ServingSnapshot>> ServingSnapshot::Create(
 ServingSnapshot::~ServingSnapshot() { Shutdown(); }
 
 Result<MatchResponse> ServingSnapshot::Match(const MatchRequest& request) {
-  return sharded_service_ != nullptr ? sharded_service_->Match(request)
-                                     : single_service_->Match(request);
-}
-
-ServiceStats ServingSnapshot::Stats() const {
-  return sharded_service_ != nullptr ? sharded_service_->Snapshot()
-                                     : single_service_->Snapshot();
-}
-
-int64_t ServingSnapshot::LatencyP50Us() const { return Stats().latency_p50_us; }
-
-ResilienceStats ServingSnapshot::Resilience() const {
-  return sharded_service_ != nullptr ? sharded_service_->ResilienceSnapshot()
-                                     : ResilienceStats{};
+  return service_->Match(request);
 }
 
 void ServingSnapshot::Shutdown() {
-  if (sharded_service_ != nullptr) {
-    sharded_service_->Shutdown();
-  } else if (single_service_ != nullptr) {
-    single_service_->Shutdown();
-  }
+  // Null only when Create failed before building the service.
+  if (service_ != nullptr) service_->Shutdown();
 }
 
 void ServingSnapshot::EndLease() {
@@ -155,11 +135,8 @@ Status SnapshotManager::Swap(std::unique_ptr<EmbeddingIndex> index,
                              std::string source) {
   // Build the whole next engine before touching the live pointer: the
   // current snapshot serves unperturbed through the expensive part.
-  const int64_t next_version =
-      version_.load(std::memory_order_relaxed) + 1;
   auto created = ServingSnapshot::Create(matcher_, std::move(index),
-                                         options_, next_version,
-                                         std::move(source));
+                                         options_, std::move(source));
   if (!created.ok()) {
     SnapshotInstruments::Get().load_failures->Increment();
     return created.status();
@@ -174,10 +151,15 @@ Status SnapshotManager::Swap(std::unique_ptr<EmbeddingIndex> index,
       next->Shutdown();
       return Status::Unavailable("SnapshotManager is shut down");
     }
+    // The version is taken here, not before the build, so concurrent
+    // rollouts publish distinct versions and the gauge never steps back.
+    next->version_ = version_.load(std::memory_order_relaxed) + 1;
     old = std::move(current_);
     current_ = next;
-    version_.store(next_version, std::memory_order_relaxed);
+    version_.store(next->version_, std::memory_order_relaxed);
     swaps_.fetch_add(1, std::memory_order_relaxed);
+    SnapshotInstruments::Get().version->Set(
+        static_cast<double>(next->version_));
     if (old != nullptr) {
       // Retire in the background: in-flight leases finish on the old
       // engine; it is shut down only after the last returns.
@@ -187,7 +169,6 @@ Status SnapshotManager::Swap(std::unique_ptr<EmbeddingIndex> index,
   }
   const auto& instruments = SnapshotInstruments::Get();
   instruments.swaps->Increment();
-  instruments.version->Set(static_cast<double>(next_version));
   instruments.rows->Set(static_cast<double>(next->rows()));
   // Memory footprint of the live snapshot: with the rows gauge this
   // puts bytes/entity per snapshot version on /metrics and in the

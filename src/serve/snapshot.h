@@ -2,8 +2,9 @@
 //
 // A ServingSnapshot is the unit a retrain rolls out: one immutable
 // embedding index (optionally hash-partitioned into shards) plus the
-// live query engine over it — MatchService for one shard,
-// ShardedMatchService for several — under a single Match() surface.
+// live MatchService over it — searching the index inline for one shard,
+// scattering across the shards for several — under a single Match()
+// surface.
 // It is also the "engine wrapper" the CLI serves through, so the HTTP
 // front end and crossem_serve share one code path.
 //
@@ -22,9 +23,11 @@
 //     matcher, optional sharding, service construction) while the
 //     CURRENT one keeps serving — the expensive part happens entirely
 //     off the request path. Only the final pointer swap takes the
-//     manager mutex. Then a detached-in-spirit retirer thread waits
-//     for the old snapshot's leases to drain, shuts its service down
-//     gracefully (which drains the service queue), and frees it.
+//     manager mutex; the version is assigned there too, so concurrent
+//     rollouts publish distinct versions. Then a detached-in-spirit
+//     retirer thread waits for the old snapshot's leases to drain,
+//     shuts its service down gracefully (which drains the service
+//     queue), and frees it.
 //     Queries therefore never observe a missing or half-built engine:
 //     zero dropped requests across a rollout is a hard invariant
 //     (tests/net/snapshot_test.cc drills it under concurrent load).
@@ -57,7 +60,7 @@ namespace serve {
 /// shards, and the front-end/resilience knobs.
 struct EngineOptions {
   MatchServiceOptions base;
-  /// > 1 partitions the index and serves through ShardedMatchService.
+  /// > 1 partitions the index and serves it through a ScatterGather.
   int64_t shards = 1;
   ResilienceOptions resilience;
 };
@@ -66,10 +69,11 @@ struct EngineOptions {
 class ServingSnapshot {
  public:
   /// Takes ownership of `index`; `matcher` is borrowed and must
-  /// outlive the snapshot. Builds the (sharded) service immediately.
+  /// outlive the snapshot. Builds the (sharded) service immediately;
+  /// the version is assigned when a SnapshotManager publishes it.
   static Result<std::unique_ptr<ServingSnapshot>> Create(
       const core::CrossEm* matcher, std::unique_ptr<EmbeddingIndex> index,
-      const EngineOptions& options, int64_t version, std::string source);
+      const EngineOptions& options, std::string source);
 
   ~ServingSnapshot();
 
@@ -87,16 +91,18 @@ class ServingSnapshot {
                                      : index_->MemoryBytes();
   }
   uint32_t fingerprint() const { return index_->model_fingerprint(); }
-  bool sharded() const { return sharded_service_ != nullptr; }
+  bool sharded() const { return sharded_index_ != nullptr; }
   int64_t shards() const {
     return sharded_index_ != nullptr ? sharded_index_->num_shards() : 1;
   }
 
-  ServiceStats Stats() const;
+  ServiceStats Stats() const { return service_->Snapshot(); }
   /// Engine p50 completion latency (admission Retry-After hint).
-  int64_t LatencyP50Us() const;
+  int64_t LatencyP50Us() const { return Stats().latency_p50_us; }
   /// Resilience counters; empty stats when not sharded.
-  ResilienceStats Resilience() const;
+  ResilienceStats Resilience() const {
+    return service_->ResilienceSnapshot();
+  }
 
   /// Stops admitting, drains, joins workers. Idempotent; called by the
   /// manager's retirer after the lease count hits zero.
@@ -112,14 +118,14 @@ class ServingSnapshot {
   int64_t leases() const { return leases_.load(std::memory_order_relaxed); }
 
  private:
+  friend class SnapshotManager;  // assigns version_ at publication
   ServingSnapshot() = default;
 
   int64_t version_ = 0;
   std::string source_;
   std::unique_ptr<EmbeddingIndex> index_;
-  std::unique_ptr<ShardedIndex> sharded_index_;
-  std::unique_ptr<MatchService> single_service_;
-  std::unique_ptr<ShardedMatchService> sharded_service_;
+  std::unique_ptr<ShardedIndex> sharded_index_;  // null for one shard
+  std::unique_ptr<MatchService> service_;
 
   std::atomic<int64_t> leases_{0};
   std::mutex drain_mu_;

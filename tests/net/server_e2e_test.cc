@@ -481,7 +481,7 @@ TEST_F(ServerE2eFixture, RequestTraceConnectsEveryShardAttemptWithHedge) {
   auto stack = BootStack(OpenAdmission(), eo, /*swap_index=*/true);
 
   // First search on shard 1 sleeps 30ms >> the 2ms hedge delay, so the
-  // coordinator must launch a hedge attempt for that shard.
+  // gather must launch a hedge attempt for that shard.
   fault::ShardFaultSpec spec;
   spec.mode = fault::ShardFaultMode::kDelay;
   spec.delay_ms = 30;

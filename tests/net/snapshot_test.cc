@@ -259,6 +259,27 @@ TEST_F(SnapshotFixture, HotSwapUnderLoadDropsNothing) {
   manager.Shutdown();
 }
 
+// Concurrent rollouts (two POST /admin/snapshot requests on different
+// HTTP workers) must each publish a version of their own.
+TEST_F(SnapshotFixture, ConcurrentSwapsGetDistinctVersions) {
+  for (int64_t shards : {1, 4}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    SnapshotManager manager(matcher_, FastOptions(shards));
+    std::vector<std::thread> rollers;
+    for (int t = 0; t < 4; ++t) {
+      rollers.emplace_back([&manager]() {
+        for (int s = 0; s < 10; ++s) {
+          EXPECT_TRUE(manager.SwapIndex(MakeGoodIndex(), "rollout").ok());
+        }
+      });
+    }
+    for (std::thread& t : rollers) t.join();
+    EXPECT_EQ(manager.swaps(), 40);
+    EXPECT_EQ(manager.version(), manager.swaps());
+    manager.Shutdown();
+  }
+}
+
 TEST_F(SnapshotFixture, ShutdownStopsLeasesAndIsIdempotent) {
   SnapshotManager manager(matcher_, FastOptions(1));
   ASSERT_TRUE(manager.SwapIndex(MakeGoodIndex(), "v1").ok());

@@ -21,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "serve/index.h"
 #include "serve/service.h"
+#include "serve/snapshot.h"
 #include "text/tokenizer.h"
 #include "util/fault_injection.h"
 #include "util/parallel.h"
@@ -139,8 +140,8 @@ core::CrossEm* ChaosFixture::matcher_ = nullptr;
 FlatIndex* ChaosFixture::index_ = nullptr;
 std::vector<int64_t>* ChaosFixture::row_class_ = nullptr;
 
-ShardedServiceOptions QuickOptions() {
-  ShardedServiceOptions o;
+EngineOptions QuickOptions() {
+  EngineOptions o;
   o.base.max_wait_micros = 0;  // no batching for lone callers
   return o;
 }
@@ -200,7 +201,7 @@ TEST_F(ChaosFixture, FaultFreeBitwiseIdenticalToSingleService) {
       MatchServiceOptions so;
       so.max_wait_micros = 0;
       MatchService single(matcher_, c.single, so);
-      ShardedMatchService sharded(matcher_, c.sharded, QuickOptions());
+      MatchService sharded(matcher_, c.sharded, so, ResilienceOptions{});
       for (int64_t q = 0; q < std::min<int64_t>(NumClasses(), 12); ++q) {
         MatchRequest request;
         request.vertex = Vertex(static_cast<size_t>(q));
@@ -236,7 +237,7 @@ TEST_F(ChaosFixture, FaultFreeBitwiseIdenticalToSingleService) {
 /// steady-state latency must stay in the same regime as fault-free.
 TEST_F(ChaosFixture, BlackholedShardDegradesGracefully) {
   auto sharded = MakeShards(4);
-  ShardedServiceOptions o = QuickOptions();
+  EngineOptions o = QuickOptions();
   o.resilience.attempt_timeout_micros = 10000;
   o.resilience.max_attempts = 2;
   o.resilience.hedge_delay_micros = 3000;
@@ -252,7 +253,7 @@ TEST_F(ChaosFixture, BlackholedShardDegradesGracefully) {
   std::vector<Result<MatchResponse>> healthy;
   std::vector<int64_t> healthy_us;
   {
-    ShardedMatchService service(matcher_, sharded.get(), o);
+    MatchService service(matcher_, sharded.get(), o.base, o.resilience);
     for (int64_t q = 0; q < queries; ++q) {
       MatchRequest request;
       request.vertex = Vertex(static_cast<size_t>(q));
@@ -277,7 +278,7 @@ TEST_F(ChaosFixture, BlackholedShardDegradesGracefully) {
   spec.shard = 2;
   fault::ArmShardFault(spec);
 
-  ShardedMatchService service(matcher_, sharded.get(), o);
+  MatchService service(matcher_, sharded.get(), o.base, o.resilience);
   // Warmup until the breaker on shard 2 opens (bounded by the failure
   // threshold: each query burns max_attempts+hedge failed calls).
   for (int64_t q = 0; q < 16 && service.breaker_state(2) !=
@@ -347,10 +348,10 @@ TEST_F(ChaosFixture, CorruptShardResponsesAreRejectedNotServed) {
   spec.shard = 1;
   fault::ArmShardFault(spec);
 
-  ShardedServiceOptions o = QuickOptions();
+  EngineOptions o = QuickOptions();
   o.resilience.max_attempts = 2;
   o.resilience.breaker_cooldown_micros = 60 * 1000 * 1000;
-  ShardedMatchService service(matcher_, sharded.get(), o);
+  MatchService service(matcher_, sharded.get(), o.base, o.resilience);
   for (int64_t q = 0; q < 6; ++q) {
     MatchRequest request;
     request.vertex = Vertex(static_cast<size_t>(q));
@@ -381,11 +382,11 @@ TEST_F(ChaosFixture, HedgingRescuesSlowShard) {
   spec.every = 2;
   fault::ArmShardFault(spec);
 
-  ShardedServiceOptions o = QuickOptions();
+  EngineOptions o = QuickOptions();
   o.resilience.attempt_timeout_micros = 400000;  // delay must NOT time out
   o.resilience.hedge_delay_micros = 4000;
   o.resilience.hedge_min_samples = 1 << 30;  // pin the fixed hedge delay
-  ShardedMatchService service(matcher_, sharded.get(), o);
+  MatchService service(matcher_, sharded.get(), o.base, o.resilience);
   for (int64_t q = 0; q < 8; ++q) {
     MatchRequest request;
     request.vertex = Vertex(static_cast<size_t>(q));
@@ -418,12 +419,12 @@ TEST_F(ChaosFixture, StuckShardDegradesAndShutdownCompletes) {
   spec.shard = 0;
   fault::ArmShardFault(spec);
 
-  ShardedServiceOptions o = QuickOptions();
+  EngineOptions o = QuickOptions();
   o.resilience.attempt_timeout_micros = 8000;
   o.resilience.max_attempts = 2;
   o.resilience.hedge_delay_micros = 2000;
   o.resilience.breaker_cooldown_micros = 60 * 1000 * 1000;
-  ShardedMatchService service(matcher_, sharded.get(), o);
+  MatchService service(matcher_, sharded.get(), o.base, o.resilience);
   for (int64_t q = 0; q < 8; ++q) {
     MatchRequest request;
     request.vertex = Vertex(static_cast<size_t>(q));
@@ -445,12 +446,12 @@ TEST_F(ChaosFixture, BreakerRecoversAfterFaultClears) {
   spec.shard = 1;
   fault::ArmShardFault(spec);
 
-  ShardedServiceOptions o = QuickOptions();
+  EngineOptions o = QuickOptions();
   o.resilience.attempt_timeout_micros = 8000;
   o.resilience.max_attempts = 2;
   o.resilience.breaker_failure_threshold = 2;
   o.resilience.breaker_cooldown_micros = 30000;  // fast recovery drill
-  ShardedMatchService service(matcher_, sharded.get(), o);
+  MatchService service(matcher_, sharded.get(), o.base, o.resilience);
 
   for (int64_t q = 0; q < 12 && service.breaker_state(1) !=
                                     CircuitBreaker::State::kOpen;
@@ -495,10 +496,10 @@ TEST_F(ChaosFixture, RequestDeadlineYieldsPartialNotError) {
   spec.shard = 3;
   fault::ArmShardFault(spec);
 
-  ShardedServiceOptions o = QuickOptions();
+  EngineOptions o = QuickOptions();
   o.resilience.hedging = false;  // let the delay bite
   o.resilience.max_attempts = 1;
-  ShardedMatchService service(matcher_, sharded.get(), o);
+  MatchService service(matcher_, sharded.get(), o.base, o.resilience);
 
   // Warm the embedding cache so the deadline budget goes to the gather.
   {
@@ -528,11 +529,11 @@ TEST_F(ChaosFixture, ChaosEnvDrillNeverFailsQueries) {
     GTEST_SKIP() << "CROSSEM_FAULT_SPEC not set";
   }
   auto sharded = MakeShards(4);
-  ShardedServiceOptions o = QuickOptions();
+  EngineOptions o = QuickOptions();
   o.resilience.attempt_timeout_micros = 30000;
   o.resilience.max_attempts = 2;
   o.resilience.hedge_delay_micros = 5000;
-  ShardedMatchService service(matcher_, sharded.get(), o);
+  MatchService service(matcher_, sharded.get(), o.base, o.resilience);
   for (int64_t q = 0; q < 16; ++q) {
     MatchRequest request;
     request.vertex = Vertex(static_cast<size_t>(q));

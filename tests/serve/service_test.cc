@@ -1,8 +1,10 @@
 // MatchService behavior on a real (small, untuned) CrossEm: answer
 // correctness against the offline matcher, micro-batching under
 // concurrent clients, queue-full backpressure, per-request deadlines,
-// cache reuse, and graceful shutdown drain. The ctest TSan re-run
-// exercises the same suite with an 8-thread pool.
+// cache reuse, and graceful shutdown drain. Every front-half case runs
+// over both back ends: a local flat index and a 2-shard flat
+// ShardedIndex. The ctest TSan re-run exercises the same suite with an
+// 8-thread pool.
 #include "serve/service.h"
 
 #include <chrono>
@@ -15,6 +17,7 @@
 #include "data/dataset.h"
 #include "gtest/gtest.h"
 #include "serve/index.h"
+#include "serve/sharded.h"
 #include "text/tokenizer.h"
 #include "util/status.h"
 
@@ -22,9 +25,12 @@ namespace crossem {
 namespace serve {
 namespace {
 
-/// One small untuned model + flat index over its image embeddings,
-/// shared by every test (encoding is the slow part).
-class MatchServiceFixture : public ::testing::Test {
+enum class Backend { kLocal, kSharded };
+
+/// One small untuned model + flat index over its image embeddings (and
+/// a 2-shard split of it), shared by every test (encoding is the slow
+/// part). The parameter picks the back end MakeService serves through.
+class MatchServiceFixture : public ::testing::TestWithParam<Backend> {
  protected:
   static void SetUpTestSuite() {
     data::DatasetConfig dc = data::CubLikeConfig(0.4);
@@ -57,9 +63,15 @@ class MatchServiceFixture : public ::testing::Test {
     index_ = new FlatIndex();
     ASSERT_TRUE(index_->Add(embeddings, ids).ok());
     index_->set_model_fingerprint(matcher_->EncoderFingerprint());
+    ShardedIndexOptions two;
+    two.num_shards = 2;
+    auto sharded = ShardedIndex::Partition(*index_, two);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    sharded_ = sharded.MoveValue().release();
   }
 
   static void TearDownTestSuite() {
+    delete sharded_;
     delete index_;
     delete matcher_;
     delete tokenizer_;
@@ -71,11 +83,19 @@ class MatchServiceFixture : public ::testing::Test {
     return ds_->entities[i % ds_->entities.size()];
   }
 
+  MatchService MakeService(const MatchServiceOptions& so) const {
+    if (GetParam() == Backend::kSharded) {
+      return MatchService(matcher_, sharded_, so, ResilienceOptions{});
+    }
+    return MatchService(matcher_, index_, so);
+  }
+
   static data::CrossModalDataset* ds_;
   static clip::ClipModel* model_;
   static text::Tokenizer* tokenizer_;
   static core::CrossEm* matcher_;
   static FlatIndex* index_;
+  static ShardedIndex* sharded_;
 };
 
 data::CrossModalDataset* MatchServiceFixture::ds_ = nullptr;
@@ -83,11 +103,12 @@ clip::ClipModel* MatchServiceFixture::model_ = nullptr;
 text::Tokenizer* MatchServiceFixture::tokenizer_ = nullptr;
 core::CrossEm* MatchServiceFixture::matcher_ = nullptr;
 FlatIndex* MatchServiceFixture::index_ = nullptr;
+ShardedIndex* MatchServiceFixture::sharded_ = nullptr;
 
-TEST_F(MatchServiceFixture, AnswersMatchOfflineRanking) {
+TEST_P(MatchServiceFixture, AnswersMatchOfflineRanking) {
   MatchServiceOptions so;
   so.max_wait_micros = 0;  // no batching needed for a lone caller
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
 
   MatchRequest request;
   request.vertex = Vertex(0);
@@ -121,10 +142,10 @@ TEST_F(MatchServiceFixture, AnswersMatchOfflineRanking) {
   EXPECT_EQ(service.Snapshot().completed, 1);
 }
 
-TEST_F(MatchServiceFixture, MinProbabilityFiltersTail) {
+TEST_P(MatchServiceFixture, MinProbabilityFiltersTail) {
   MatchServiceOptions so;
   so.max_wait_micros = 0;
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
 
   MatchRequest request;
   request.vertex = Vertex(1);
@@ -143,11 +164,11 @@ TEST_F(MatchServiceFixture, MinProbabilityFiltersTail) {
   EXPECT_EQ(filtered.value().matches.front().image, all.front().image);
 }
 
-TEST_F(MatchServiceFixture, ConcurrentClientsAllComplete) {
+TEST_P(MatchServiceFixture, ConcurrentClientsAllComplete) {
   MatchServiceOptions so;
   so.max_batch = 8;
   so.max_wait_micros = 3000;
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
 
   constexpr int kClients = 8;
   constexpr int kPerClient = 6;
@@ -185,12 +206,12 @@ TEST_F(MatchServiceFixture, ConcurrentClientsAllComplete) {
   EXPECT_GT(stats.cache_hits, 0);
 }
 
-TEST_F(MatchServiceFixture, QueueFullRejectsWithUnavailable) {
+TEST_P(MatchServiceFixture, QueueFullRejectsWithUnavailable) {
   MatchServiceOptions so;
   so.max_queue = 2;
   so.max_batch = 64;             // never reached
   so.max_wait_micros = 300000;   // worker holds the batch open 300ms
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
 
   MatchRequest request;
   request.vertex = Vertex(0);
@@ -225,12 +246,12 @@ TEST_F(MatchServiceFixture, QueueFullRejectsWithUnavailable) {
   EXPECT_EQ(stats.completed + stats.rejected_queue_full, 6);
 }
 
-TEST_F(MatchServiceFixture, QueueFullRetryHintIsClampedToDeadline) {
+TEST_P(MatchServiceFixture, QueueFullRetryHintIsClampedToDeadline) {
   MatchServiceOptions so;
   so.max_queue = 2;
   so.max_batch = 64;
   so.max_wait_micros = 300000;  // natural drain hint: 300ms
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
 
   MatchRequest request;
   request.vertex = Vertex(0);
@@ -256,10 +277,10 @@ TEST_F(MatchServiceFixture, QueueFullRetryHintIsClampedToDeadline) {
   service.Shutdown();
 }
 
-TEST_F(MatchServiceFixture, DeadlineExpiryIsReported) {
+TEST_P(MatchServiceFixture, DeadlineExpiryIsReported) {
   MatchServiceOptions so;
   so.max_wait_micros = 50000;  // plenty of time for 1us deadlines to age out
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
 
   MatchRequest request;
   request.vertex = Vertex(2);
@@ -272,11 +293,11 @@ TEST_F(MatchServiceFixture, DeadlineExpiryIsReported) {
   EXPECT_EQ(service.Snapshot().expired_deadline, 1);
 }
 
-TEST_F(MatchServiceFixture, ShutdownDrainsQueuedRequests) {
+TEST_P(MatchServiceFixture, ShutdownDrainsQueuedRequests) {
   MatchServiceOptions so;
   so.max_batch = 4;
   so.max_wait_micros = 500000;  // queue builds up while the worker waits
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
 
   std::vector<std::future<Result<MatchResponse>>> futures;
   for (int i = 0; i < 10; ++i) {
@@ -297,9 +318,9 @@ TEST_F(MatchServiceFixture, ShutdownDrainsQueuedRequests) {
   EXPECT_EQ(stats.completed, 10);
 }
 
-TEST_F(MatchServiceFixture, SubmitAfterShutdownIsRejected) {
+TEST_P(MatchServiceFixture, SubmitAfterShutdownIsRejected) {
   MatchServiceOptions so;
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
   service.Shutdown();
 
   MatchRequest request;
@@ -310,9 +331,9 @@ TEST_F(MatchServiceFixture, SubmitAfterShutdownIsRejected) {
   EXPECT_EQ(service.Snapshot().rejected_shutdown, 1);
 }
 
-TEST_F(MatchServiceFixture, InvalidRequestsRejectedUpFront) {
+TEST_P(MatchServiceFixture, InvalidRequestsRejectedUpFront) {
   MatchServiceOptions so;
-  MatchService service(matcher_, index_, so);
+  MatchService service = MakeService(so);
 
   MatchRequest bad_k;
   bad_k.vertex = Vertex(0);
@@ -327,7 +348,10 @@ TEST_F(MatchServiceFixture, InvalidRequestsRejectedUpFront) {
   service.Shutdown();
 }
 
-TEST_F(MatchServiceFixture, CacheHitOnRepeatAndHnswBackendInterchangeable) {
+/// The HNSW case builds its own local index, so it runs once.
+class HnswServiceFixture : public MatchServiceFixture {};
+
+TEST_F(HnswServiceFixture, CacheHitOnRepeatAndHnswBackendInterchangeable) {
   // Same service contract over the ANN backend.
   Tensor images = ds_->StackImages(ds_->TestImageIndices());
   Tensor embeddings = matcher_->EncodeImages(images);
@@ -360,6 +384,13 @@ TEST_F(MatchServiceFixture, CacheHitOnRepeatAndHnswBackendInterchangeable) {
   service.Shutdown();
   EXPECT_EQ(service.Snapshot().cache_hits, 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, MatchServiceFixture,
+    ::testing::Values(Backend::kLocal, Backend::kSharded),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return info.param == Backend::kLocal ? "LocalFlat" : "ShardedFlat2";
+    });
 
 }  // namespace
 }  // namespace serve

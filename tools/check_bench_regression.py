@@ -352,7 +352,7 @@ def main():
     if not (args.baseline or args.resilience or args.net
             or args.serve_quant):
         print("error: nothing to gate (pass --baseline/--current, "
-              "--resilience, or --net)", file=sys.stderr)
+              "--resilience, --net, or --serve-quant)", file=sys.stderr)
         return 2
     if bool(args.baseline) != bool(args.current):
         print("error: --baseline and --current go together",

@@ -115,7 +115,7 @@ struct Args {
   int64_t cache_bytes = 0;     // optional embedding-cache byte cap
   std::string quant = "f32";   // row storage format (build-index + cache)
   int64_t rerank_k = 0;        // quantized re-rank depth; 0 = default
-  int64_t shards = 1;  // > 1 serves through ShardedMatchService
+  int64_t shards = 1;  // > 1 serves through a scatter-gather back end
   int64_t patch_dim = 0;    // model config when --images is absent
   int64_t max_patches = 0;  // ditto (repository max, pre-padding)
   uint64_t seed = 7;
